@@ -75,8 +75,6 @@ def _run_one(args) -> AblationRow:
     run_dir = Path(out_dir) / cfg.variant.value
     result = train_variant(base, cfg, aug=aug, out_dir=run_dir, classifier_scale=scale,
                            hidden_dims=hidden_dims, embed_dim=embed_dim)
-    for stage, metrics in result.metrics.items():
-        metrics.write_csv(run_dir / f"metrics_{stage}.csv")
     reports = {}
     for k in k_values:
         reports[k] = evaluate(

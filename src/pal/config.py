@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .batching import AugmentConfig
-from .encoders import EncoderConfig
 from .exceptions import ParameterError
 from .training import TrainConfig
 
@@ -53,15 +52,6 @@ class RunConfig:
     classifier_scale: float = 10.0
     augment: AugmentConfig = field(default_factory=lambda: AugmentConfig(**DESK_AUGMENT))
     train: TrainConfig = field(default_factory=lambda: TrainConfig(**DESK_TRAIN))
-
-    def encoder_config(self, input_dim: int, seed: int) -> EncoderConfig:
-        dim = self.encoder_input_dim or input_dim
-        return EncoderConfig(
-            input_dim=dim,
-            hidden_dims=self.encoder_hidden_dims,
-            embed_dim=self.encoder_embed_dim,
-            seed=seed,
-        )
 
 
 def _parse_hidden_dims(text: str) -> tuple[int, ...]:

@@ -299,28 +299,3 @@ def softmax_temperature(v, tau: float, axis: int = -1):
     if isinstance(v, Tensor):
         return softmax(scale(v, 1.0 / tau), axis=axis)
     return softmax(np.asarray(v, dtype=np.float64) / tau, axis=axis)
-
-
-_FORWARD_KINDS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "scale": scale,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "dot": dot,
-}
-
-
-def forward_op(kind: str, *inputs) -> Tensor:
-    """Dispatch an op by name; the graph records it for backward as usual."""
-    try:
-        fn = _FORWARD_KINDS[kind]
-    except KeyError:
-        raise ParameterError(
-            f"unknown op kind {kind!r}; expected one of {sorted(_FORWARD_KINDS)}"
-        ) from None
-    return fn(*inputs)

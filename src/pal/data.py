@@ -36,9 +36,7 @@ DATA_VERSION = 1
 # Latent geometry, all noise scales proportional to the separation margin.
 SIGNAL_FRACTION = 3 / 8  # leading share of raw_dim carrying class identity
 BASE_SCALE = 1.3  # base center scale over the signal block
-NOVEL_MODE = "pack"  # "pack": novel near origin; "bridge": between base pairs
-NOVEL_PACK_SCALE = 0.22  # center scale for the packed mode
-NOVEL_BRIDGE_T = 0.3  # interpolation weight toward the far base center
+NOVEL_PACK_SCALE = 0.22  # novel center scale: packed near the origin
 CLUSTER_NOISE_RATIO = 1 / 8  # within-class signal noise / margin
 NUISANCE_NOISE_RATIO = 1.8  # class-independent noise / margin
 MIX_TANH_GAIN = 0.5  # mixing nonlinearity x + gain*tanh(x)
@@ -180,26 +178,10 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
         spec.n_base_classes, [], spec.margin, 0,
     )
 
-    if NOVEL_MODE == "bridge":
-        # Novel classes bud off one shared base class toward the others, so
-        # novel items live inside the base data's support near decision
-        # boundaries (not in an empty region), and stay mutually close.
-        # Jitter keeps repeated pair draws apart.
-        jitter = 0.1 * spec.margin
-        anchor = base_centers[0]
-
-        def propose():
-            b = int(rng_centers.integers(1, spec.n_base_classes))
-            point = (1.0 - NOVEL_BRIDGE_T) * anchor + NOVEL_BRIDGE_T * base_centers[b]
-            return point + jitter * rng_centers.normal(size=signal_dim)
-    else:
-        pack_scale = NOVEL_PACK_SCALE * spec.margin
-
-        def propose():
-            return rng_centers.normal(size=signal_dim) * pack_scale
-
+    novel_scale = NOVEL_PACK_SCALE * spec.margin
     novel_centers, attempts = _rejection_sample(
-        propose, spec.n_novel_classes, base_centers, spec.margin, attempts
+        lambda: rng_centers.normal(size=signal_dim) * novel_scale,
+        spec.n_novel_classes, base_centers, spec.margin, attempts,
     )
     all_centers = base_centers + novel_centers
     pair_dists = [

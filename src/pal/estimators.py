@@ -90,6 +90,9 @@ class PALRepresentation(BaseEstimator):
     the base split; ``transform`` maps rows to unit embeddings under the
     evaluation encoder. The trained pieces are exposed as ``encoder_``,
     ``partner_``, and ``classifier_``.
+
+    With no ``train_config`` it trains the full-scale 90-epoch
+    ``TrainConfig()`` schedule; the CLI trains ``config.DESK_TRAIN`` instead.
     """
 
     def __init__(

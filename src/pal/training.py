@@ -3,9 +3,18 @@
 Stage one trains the partner encoder with a contrastive objective; stage two
 trains the main encoder (plus its cosine classifier) under cross-entropy
 with optional feature-level and logit-level alignment against the frozen
-partner. ``train_variant`` dispatches the full grid of alternatives:
+partner. ``train_variant`` runs the full grid of alternatives:
 single-objective baselines, multi-task, mutual learning, the reversed
 integration order, and partners trained under other objectives.
+
+Every stage runs on one engine. A stage is its models plus a per-batch
+``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
+data-order seed stream, batching, the optimizer step under the lr schedule
+and the alignment warm-up, the metrics log, and the final float32 rounding),
+and ``_save`` alone decides the file layout of a run directory:
+``{role}_encoder.palw``, ``{role}_classifier.palw`` and
+``metrics_{role}.csv``. The stage-two variants differ only in the objective
+terms ``_VARIANT_FLAGS`` switches on.
 
 One training run is a single logical writer over its model state; runs with
 distinct configs are fully independent (each derives every generator it uses
@@ -112,6 +121,14 @@ class TrainConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
+        for name in ("kl_tau", "logit_tau"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ParameterError(f"{name} must be positive or None, got {value}")
+        for name in ("n_pos", "n_neg"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ParameterError(f"{name} must be >= 1 or None, got {value}")
 
     @property
     def kl_temperature(self) -> float:
@@ -158,19 +175,12 @@ def sgd_step(params: list[Tensor], lr: float, weight_decay: float = 0.0) -> None
 
 
 class SGD:
-    """SGD with optional momentum; re-normalizes classifier rows after every
-    step so cosine logits stay bounded."""
+    """SGD with optional momentum."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        momentum: float = 0.0,
-        classifier: CosineClassifier | None = None,
-    ):
+    def __init__(self, params: list[Tensor], momentum: float = 0.0):
         self.params = list(params)
         self.momentum = float(momentum)
         self.velocity = [np.zeros_like(p.data) for p in self.params]
-        self.classifier = classifier
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -186,8 +196,6 @@ class SGD:
                 g = p.grad + weight_decay * p.data
                 self.velocity[i] = self.momentum * self.velocity[i] + g
                 p.data = p.data - lr * self.velocity[i]
-        if self.classifier is not None:
-            self.classifier.renormalize()
 
 
 METRIC_COLUMNS = (
@@ -283,8 +291,6 @@ def _iter_batches(
     order = rng.permutation(len(split.y))
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start : start + cfg.batch_size]
-        if len(chunk) == 0:
-            continue
         yield build_batch(
             split.x[chunk].astype(np.float64),
             split.y[chunk],
@@ -298,8 +304,6 @@ def quantize_to_storage(*models) -> None:
     """Round parameters to float32 so in-memory weights match checkpoint
     bytes exactly; training always ends with this before returning."""
     for model in models:
-        if model is None:
-            continue
         for p in model.parameters():
             p.data = p.data.astype("<f4").astype(np.float64)
 
@@ -311,98 +315,6 @@ class PartnerResult:
     checkpoint: Path | None = None
 
 
-def train_partner(
-    base: Split,
-    cfg: TrainConfig,
-    enc_cfg: EncoderConfig | None = None,
-    aug: AugmentConfig | None = None,
-    out_dir=None,
-    objective: str | None = None,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
-) -> PartnerResult:
-    """Stage one: contrastive training of the partner encoder.
-
-    ``objective`` is "supct" unless the variant dictates otherwise
-    ("ct" for the unsupervised-partner row).
-    """
-    if objective is None:
-        objective = "ct" if cfg.variant == Variant.PARTNER_CT else "supct"
-    if objective not in ("supct", "ct"):
-        raise ParameterError(f"partner objective must be supct|ct, got {objective!r}")
-    if len(base.classes) < 2:
-        logger.warning(
-            "train_partner: single-class data; every batch is all-positive and "
-            "the contrastive objective is degenerate"
-        )
-    streams = _seed_streams(cfg)
-    aug = aug if aug is not None else AugmentConfig()
-    if enc_cfg is None:
-        enc_cfg = default_encoder_config(
-            base.dim, _seed_int(streams["partner_init"]), hidden_dims, embed_dim
-        )
-    enc = Encoder(enc_cfg)
-    opt = SGD(enc.parameters(), momentum=cfg.momentum)
-    data_rng = np.random.default_rng(streams["partner_data"])
-    schedule = WarmupSchedule(cfg.warmup_epochs)
-    metrics = MetricsLogger()
-
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
-            z = enc.embed(batch.inputs)
-            if objective == "supct":
-                view = ContrastiveBatchView.supervised(z, batch.labels, cfg.tau)
-                result = supct_loss(view)
-            else:
-                view = ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau)
-                result = ct_loss(view)
-            total = scale(result.loss, 1.0 / batch.size)
-            opt.zero_grad()
-            backward(total)
-            opt.step(lr, cfg.weight_decay)
-            metrics.log(
-                epoch=epoch,
-                step=step,
-                lr=lr,
-                loss_total=float(total),
-                w_logit=schedule(epoch),
-                skipped_positive_instances=result.skipped,
-                loss_aux=float(total),
-            )
-
-    quantize_to_storage(enc)
-    checkpoint = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        checkpoint = out / "partner_encoder.palw"
-        save_encoder(enc, checkpoint)
-        metrics.write_csv(out / "metrics_partner.csv")
-    return PartnerResult(encoder=enc, metrics=metrics, checkpoint=checkpoint)
-
-
-@dataclass(frozen=True)
-class _MainFlags:
-    use_ce: bool = True
-    use_feat: bool = False
-    align: str = "none"  # none | logit | kl
-    aux_supct: bool = False
-
-
-_VARIANT_FLAGS = {
-    Variant.PAL: _MainFlags(use_feat=True, align="logit"),
-    Variant.PARTNER_CT: _MainFlags(use_feat=True, align="logit"),
-    Variant.PARTNER_CE: _MainFlags(use_feat=True, align="logit"),
-    Variant.PAL_LOGIT_ONLY: _MainFlags(align="logit"),
-    Variant.PAL_FEAT_ONLY: _MainFlags(use_feat=True),
-    Variant.PAL_KL_LOGIT: _MainFlags(align="kl"),
-    Variant.PAL_FEAT_KL: _MainFlags(use_feat=True, align="kl"),
-    Variant.CE_ONLY: _MainFlags(),
-    Variant.MULTITASK: _MainFlags(aux_supct=True),
-}
-
-
 @dataclass
 class MainResult:
     encoder: Encoder
@@ -410,239 +322,6 @@ class MainResult:
     metrics: MetricsLogger
     encoder_checkpoint: Path | None = None
     classifier_checkpoint: Path | None = None
-
-
-def train_main(
-    base: Split,
-    cfg: TrainConfig,
-    partner: Encoder | None = None,
-    enc_cfg: EncoderConfig | None = None,
-    aug: AugmentConfig | None = None,
-    out_dir=None,
-    flags: _MainFlags | None = None,
-    classifier_scale: float = 10.0,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
-) -> MainResult:
-    """Stage two: train the main encoder (and classifier) under
-    ``L = L_CE + L_feat + w(epoch) * L_align`` per the active variant."""
-    if flags is None:
-        if cfg.variant not in _VARIANT_FLAGS:
-            raise ParameterError(
-                f"variant {cfg.variant.value} is not a main-encoder variant"
-            )
-        flags = _VARIANT_FLAGS[cfg.variant]
-    needs_partner = flags.use_feat or flags.align != "none"
-    if needs_partner:
-        if partner is None:
-            raise ContractError("this variant needs a partner encoder")
-        if not partner.frozen:
-            raise ContractError("the partner encoder must be frozen before main training")
-
-    streams = _seed_streams(cfg)
-    aug = aug if aug is not None else AugmentConfig()
-    if enc_cfg is None:
-        enc_cfg = default_encoder_config(
-            base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim
-        )
-    enc = Encoder(enc_cfg)
-
-    class_list = np.sort(base.classes)
-    clf = None
-    if flags.use_ce:
-        clf = CosineClassifier(
-            n_classes=len(class_list),
-            embed_dim=enc_cfg.embed_dim,
-            scale=classifier_scale,
-            seed=_seed_int(streams["classifier_init"]),
-        )
-    params = enc.parameters() + (clf.parameters() if clf else [])
-    opt = SGD(params, momentum=cfg.momentum, classifier=clf)
-    data_rng = np.random.default_rng(streams["main_data"])
-    anchor_rng = np.random.default_rng(streams["anchors"])
-    schedule = WarmupSchedule(cfg.warmup_epochs)
-    metrics = MetricsLogger()
-
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        w = schedule(epoch)
-        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
-            per = 1.0 / batch.size
-            z_main = enc.embed(batch.inputs)
-            logits = clf.logits(z_main) if clf else None
-            z_partner = partner.encode(batch.inputs) if needs_partner else None
-
-            total = Tensor(0.0)
-            loss_ce = loss_feat = loss_align = loss_aux = 0.0
-            skipped = 0
-
-            if flags.use_ce:
-                labels_idx = np.searchsorted(class_list, batch.labels)
-                l_ce = scale(ce_loss_batch(logits, labels_idx), per)
-                loss_ce = float(l_ce)
-                total = total + l_ce
-            if flags.use_feat:
-                anchors = sample_anchor_sets(
-                    partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
-                )
-                result = feat_align_loss(z_main, anchors, cfg.tau)
-                l_feat = scale(result.loss, per)
-                loss_feat = float(l_feat)
-                skipped += result.skipped
-                total = total + l_feat
-            if flags.align == "logit":
-                l_align = scale(
-                    logit_align_loss_batch(
-                        clf, z_partner[batch.view_map], logits, cfg.logit_temperature
-                    ),
-                    per,
-                )
-                loss_align = float(l_align)
-                total = total + scale(l_align, w)
-            elif flags.align == "kl":
-                p_t = softmax_temperature(clf.logits(z_partner), cfg.kl_temperature)
-                p_s = softmax_temperature(logits, cfg.kl_temperature)
-                l_align = scale(kl_loss_batch(p_t, p_s), per)
-                loss_align = float(l_align)
-                total = total + scale(l_align, w)
-            if flags.aux_supct:
-                view = ContrastiveBatchView.supervised(z_main, batch.labels, cfg.tau)
-                result = supct_loss(view)
-                l_aux = scale(result.loss, per)
-                loss_aux = float(l_aux)
-                skipped += result.skipped
-                total = total + l_aux
-
-            opt.zero_grad()
-            backward(total)
-            opt.step(lr, cfg.weight_decay)
-            metrics.log(
-                epoch=epoch,
-                step=step,
-                lr=lr,
-                loss_total=float(total),
-                loss_ce=loss_ce,
-                loss_feat=loss_feat,
-                loss_logit=loss_align,
-                w_logit=w,
-                skipped_positive_instances=skipped,
-                loss_aux=loss_aux,
-            )
-
-    quantize_to_storage(enc, clf)
-    enc_path = clf_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        enc_path = out / "main_encoder.palw"
-        save_encoder(enc, enc_path)
-        if clf is not None:
-            clf_path = out / "main_classifier.palw"
-            save_classifier(clf, clf_path)
-        metrics.write_csv(out / "metrics_main.csv")
-    return MainResult(
-        encoder=enc,
-        classifier=clf,
-        metrics=metrics,
-        encoder_checkpoint=enc_path,
-        classifier_checkpoint=clf_path,
-    )
-
-
-def _train_mutual(
-    base: Split,
-    cfg: TrainConfig,
-    aug: AugmentConfig,
-    out_dir,
-    classifier_scale: float,
-    hidden_dims: tuple[int, ...],
-    embed_dim: int,
-) -> "VariantResult":
-    """Joint training of two peers from scratch: one under the contrastive
-    objective, one under cross-entropy, aligned through symmetric KL on
-    their plain class-probability outputs (mutual-learning convention:
-    temperature 1); the cross-entropy model is evaluated."""
-    streams = _seed_streams(cfg)
-    enc_a = Encoder(
-        default_encoder_config(base.dim, _seed_int(streams["partner_init"]), hidden_dims, embed_dim)
-    )
-    enc_b = Encoder(
-        default_encoder_config(base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim)
-    )
-    class_list = np.sort(base.classes)
-    clf_a = CosineClassifier(
-        len(class_list), enc_a.config.embed_dim, classifier_scale,
-        seed=_seed_int(streams["second_init"]),
-    )
-    clf_b = CosineClassifier(
-        len(class_list), enc_b.config.embed_dim, classifier_scale,
-        seed=_seed_int(streams["classifier_init"]),
-    )
-    opt = SGD(
-        enc_a.parameters() + clf_a.parameters() + enc_b.parameters() + clf_b.parameters(),
-        momentum=cfg.momentum,
-    )
-    data_rng = np.random.default_rng(streams["main_data"])
-    metrics = MetricsLogger()
-
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
-            per = 1.0 / batch.size
-            labels_idx = np.searchsorted(class_list, batch.labels)
-            z_a = enc_a.embed(batch.inputs)
-            z_b = enc_b.embed(batch.inputs)
-            logits_a = clf_a.logits(z_a)
-            logits_b = clf_b.logits(z_b)
-            p_a_const = softmax_temperature(clf_a.logits(z_a.data), 1.0)
-            p_b_const = softmax_temperature(clf_b.logits(z_b.data), 1.0)
-
-            view = ContrastiveBatchView.supervised(z_a, batch.labels, cfg.tau)
-            supct_result = supct_loss(view)
-            l_supct = scale(supct_result.loss, per)
-            l_kl_a = scale(kl_loss_batch(p_b_const, softmax_temperature(logits_a, 1.0)), per)
-            l_ce = scale(ce_loss_batch(logits_b, labels_idx), per)
-            l_kl_b = scale(kl_loss_batch(p_a_const, softmax_temperature(logits_b, 1.0)), per)
-
-            loss_a = l_supct + l_kl_a
-            loss_b = l_ce + l_kl_b
-            opt.zero_grad()
-            backward(loss_a)
-            backward(loss_b)
-            opt.step(lr, cfg.weight_decay)
-            clf_a.renormalize()
-            clf_b.renormalize()
-            metrics.log(
-                epoch=epoch,
-                step=step,
-                lr=lr,
-                loss_total=float(loss_a) + float(loss_b),
-                loss_ce=float(l_ce),
-                w_logit=1.0,
-                skipped_positive_instances=supct_result.skipped,
-                loss_aux=float(l_supct) + float(l_kl_a) + float(l_kl_b),
-            )
-
-    quantize_to_storage(enc_a, clf_a, enc_b, clf_b)
-    enc_path = clf_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        enc_path = out / "main_encoder.palw"
-        save_encoder(enc_b, enc_path)
-        clf_path = out / "main_classifier.palw"
-        save_classifier(clf_b, clf_path)
-        save_encoder(enc_a, out / "peer_encoder.palw")
-        metrics.write_csv(out / "metrics_main.csv")
-    return VariantResult(
-        variant=cfg.variant,
-        encoder=enc_b,
-        classifier=clf_b,
-        partner=enc_a,
-        metrics={"main": metrics},
-        encoder_checkpoint=enc_path,
-        classifier_checkpoint=clf_path,
-    )
 
 
 @dataclass
@@ -657,6 +336,282 @@ class VariantResult:
     partner_checkpoint: Path | None = None
 
 
+def _fit(
+    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, data_stream: str, models, loss_fn
+) -> MetricsLogger:
+    """The one training loop behind every stage.
+
+    ``models`` are the encoders and classifiers the stage trains; all their
+    parameters share one optimizer, and classifier rows are re-normalized
+    after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
+    logit-alignment weight and returns the backward roots plus the metrics
+    row for the step. The data order is drawn from the run's
+    ``data_stream`` seed stream.
+    """
+    aug = aug if aug is not None else AugmentConfig()
+    opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
+    classifiers = [m for m in models if isinstance(m, CosineClassifier)]
+    data_rng = np.random.default_rng(_seed_streams(cfg)[data_stream])
+    schedule = WarmupSchedule(cfg.warmup_epochs)
+    metrics = MetricsLogger()
+
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        w = schedule(epoch)
+        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
+            roots, row = loss_fn(batch, w)
+            opt.zero_grad()
+            for root in roots:
+                backward(root)
+            opt.step(lr, cfg.weight_decay)
+            for clf in classifiers:
+                clf.renormalize()
+            metrics.log(**{"epoch": epoch, "step": step, "lr": lr, "w_logit": w, **row})
+
+    quantize_to_storage(*models)
+    return metrics
+
+
+def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
+    """Write a stage's outputs as ``{role}_encoder.palw``,
+    ``{role}_classifier.palw`` and ``metrics_{role}.csv`` under ``out_dir``
+    (nothing when it is None); return the two checkpoint paths."""
+    if out_dir is None:
+        return None, None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    enc_path = out / f"{role}_encoder.palw"
+    save_encoder(encoder, enc_path)
+    clf_path = None
+    if classifier is not None:
+        clf_path = out / f"{role}_classifier.palw"
+        save_classifier(classifier, clf_path)
+    if metrics is not None:
+        metrics.write_csv(out / f"metrics_{role}.csv")
+    return enc_path, clf_path
+
+
+def train_partner(
+    base: Split,
+    cfg: TrainConfig,
+    aug: AugmentConfig | None = None,
+    out_dir=None,
+    hidden_dims: tuple[int, ...] = (64, 64),
+    embed_dim: int = 32,
+) -> PartnerResult:
+    """Stage one: contrastive training of the partner encoder, under the
+    unsupervised CT objective for the ``Partner_CT`` row and SupCT
+    otherwise."""
+    if len(base.classes) < 2:
+        logger.warning(
+            "train_partner: single-class data; every batch is all-positive and "
+            "the contrastive objective is degenerate"
+        )
+    seed = _seed_int(_seed_streams(cfg)["partner_init"])
+    enc = Encoder(default_encoder_config(base.dim, seed, hidden_dims, embed_dim))
+
+    def loss_fn(batch, w):
+        z = enc.embed(batch.inputs)
+        if cfg.variant == Variant.PARTNER_CT:
+            result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
+        else:
+            result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
+        total = scale(result.loss, 1.0 / batch.size)
+        return [total], dict(
+            loss_total=float(total),
+            skipped_positive_instances=result.skipped,
+            loss_aux=float(total),
+        )
+
+    metrics = _fit(base, cfg, aug, "partner_data", [enc], loss_fn)
+    checkpoint, _ = _save(out_dir, "partner", enc, metrics=metrics)
+    return PartnerResult(encoder=enc, metrics=metrics, checkpoint=checkpoint)
+
+
+@dataclass(frozen=True)
+class _MainFlags:
+    use_ce: bool = True
+    use_feat: bool = False
+    align: str = "none"  # none | logit | kl
+    aux_supct: bool = False
+
+    @property
+    def needs_partner(self) -> bool:
+        return self.use_feat or self.align != "none"
+
+
+_VARIANT_FLAGS = {
+    Variant.PAL: _MainFlags(use_feat=True, align="logit"),
+    Variant.PARTNER_CT: _MainFlags(use_feat=True, align="logit"),
+    Variant.PARTNER_CE: _MainFlags(use_feat=True, align="logit"),
+    Variant.PAL_LOGIT_ONLY: _MainFlags(align="logit"),
+    Variant.PAL_FEAT_ONLY: _MainFlags(use_feat=True),
+    Variant.PAL_KL_LOGIT: _MainFlags(align="kl"),
+    Variant.PAL_FEAT_KL: _MainFlags(use_feat=True, align="kl"),
+    Variant.CE_ONLY: _MainFlags(),
+    Variant.MULTITASK: _MainFlags(aux_supct=True),
+    # Contrastive second network anchored on a cross-entropy partner.
+    Variant.REVERSE: _MainFlags(use_ce=False, use_feat=True, aux_supct=True),
+}
+
+
+def train_main(
+    base: Split,
+    cfg: TrainConfig,
+    partner: Encoder | None = None,
+    aug: AugmentConfig | None = None,
+    out_dir=None,
+    classifier_scale: float = 10.0,
+    hidden_dims: tuple[int, ...] = (64, 64),
+    embed_dim: int = 32,
+) -> MainResult:
+    """Stage two: train the main encoder (and classifier) under
+    ``L = L_CE + L_feat + w(epoch) * L_align`` per the active variant."""
+    if cfg.variant not in _VARIANT_FLAGS:
+        raise ParameterError(f"variant {cfg.variant.value} is not a main-encoder variant")
+    flags = _VARIANT_FLAGS[cfg.variant]
+    if flags.needs_partner:
+        if partner is None:
+            raise ContractError("this variant needs a partner encoder")
+        if not partner.frozen:
+            raise ContractError("the partner encoder must be frozen before main training")
+
+    streams = _seed_streams(cfg)
+    enc = Encoder(
+        default_encoder_config(base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim)
+    )
+    class_list = np.sort(base.classes)
+    clf = None
+    if flags.use_ce:
+        clf = CosineClassifier(
+            n_classes=len(class_list),
+            embed_dim=embed_dim,
+            scale=classifier_scale,
+            seed=_seed_int(streams["classifier_init"]),
+        )
+    anchor_rng = np.random.default_rng(streams["anchors"])
+
+    def loss_fn(batch, w):
+        per = 1.0 / batch.size
+        z_main = enc.embed(batch.inputs)
+        logits = clf.logits(z_main) if clf else None
+        z_partner = partner.encode(batch.inputs) if flags.needs_partner else None
+        total = Tensor(0.0)
+        row = {"skipped_positive_instances": 0}
+
+        if flags.use_ce:
+            labels_idx = np.searchsorted(class_list, batch.labels)
+            l_ce = scale(ce_loss_batch(logits, labels_idx), per)
+            row["loss_ce"] = float(l_ce)
+            total = total + l_ce
+        if flags.use_feat:
+            anchors = sample_anchor_sets(
+                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
+            )
+            result = feat_align_loss(z_main, anchors, cfg.tau)
+            l_feat = scale(result.loss, per)
+            row["loss_feat"] = float(l_feat)
+            row["skipped_positive_instances"] += result.skipped
+            total = total + l_feat
+        if flags.align == "logit":
+            l_align = scale(
+                logit_align_loss_batch(
+                    clf, z_partner[batch.view_map], logits, cfg.logit_temperature
+                ),
+                per,
+            )
+        elif flags.align == "kl":
+            p_t = softmax_temperature(clf.logits(z_partner), cfg.kl_temperature)
+            p_s = softmax_temperature(logits, cfg.kl_temperature)
+            l_align = scale(kl_loss_batch(p_t, p_s), per)
+        if flags.align != "none":
+            row["loss_logit"] = float(l_align)
+            total = total + scale(l_align, w)
+        if flags.aux_supct:
+            result = supct_loss(ContrastiveBatchView.supervised(z_main, batch.labels, cfg.tau))
+            l_aux = scale(result.loss, per)
+            row["loss_aux"] = float(l_aux)
+            row["skipped_positive_instances"] += result.skipped
+            total = total + l_aux
+        row["loss_total"] = float(total)
+        return [total], row
+
+    models = [enc] if clf is None else [enc, clf]
+    metrics = _fit(base, cfg, aug, "main_data", models, loss_fn)
+    enc_path, clf_path = _save(out_dir, "main", enc, clf, metrics)
+    return MainResult(enc, clf, metrics, enc_path, clf_path)
+
+
+def _train_mutual(
+    base: Split,
+    cfg: TrainConfig,
+    aug: AugmentConfig | None,
+    out_dir,
+    classifier_scale: float,
+    hidden_dims: tuple[int, ...],
+    embed_dim: int,
+) -> VariantResult:
+    """Joint training of two peers from scratch: one under the contrastive
+    objective, one under cross-entropy, aligned through symmetric KL on
+    their plain class-probability outputs (mutual-learning convention:
+    temperature 1); the cross-entropy model is evaluated."""
+    streams = _seed_streams(cfg)
+    enc_a = Encoder(
+        default_encoder_config(base.dim, _seed_int(streams["partner_init"]), hidden_dims, embed_dim)
+    )
+    enc_b = Encoder(
+        default_encoder_config(base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim)
+    )
+    class_list = np.sort(base.classes)
+    clf_a = CosineClassifier(
+        len(class_list), embed_dim, classifier_scale, seed=_seed_int(streams["second_init"])
+    )
+    clf_b = CosineClassifier(
+        len(class_list), embed_dim, classifier_scale, seed=_seed_int(streams["classifier_init"])
+    )
+
+    def loss_fn(batch, w):
+        per = 1.0 / batch.size
+        labels_idx = np.searchsorted(class_list, batch.labels)
+        z_a = enc_a.embed(batch.inputs)
+        z_b = enc_b.embed(batch.inputs)
+        logits_a = clf_a.logits(z_a)
+        logits_b = clf_b.logits(z_b)
+        p_a_const = softmax_temperature(clf_a.logits(z_a.data), 1.0)
+        p_b_const = softmax_temperature(clf_b.logits(z_b.data), 1.0)
+
+        supct_result = supct_loss(ContrastiveBatchView.supervised(z_a, batch.labels, cfg.tau))
+        l_supct = scale(supct_result.loss, per)
+        l_kl_a = scale(kl_loss_batch(p_b_const, softmax_temperature(logits_a, 1.0)), per)
+        l_ce = scale(ce_loss_batch(logits_b, labels_idx), per)
+        l_kl_b = scale(kl_loss_batch(p_a_const, softmax_temperature(logits_b, 1.0)), per)
+
+        # Two backward roots, not their sum: a summed root can change the
+        # order in which gradients accumulate, and so the trained bytes.
+        loss_a = l_supct + l_kl_a
+        loss_b = l_ce + l_kl_b
+        return [loss_a, loss_b], dict(
+            loss_total=float(loss_a) + float(loss_b),
+            loss_ce=float(l_ce),
+            w_logit=1.0,
+            skipped_positive_instances=supct_result.skipped,
+            loss_aux=float(l_supct) + float(l_kl_a) + float(l_kl_b),
+        )
+
+    metrics = _fit(base, cfg, aug, "main_data", [enc_a, clf_a, enc_b, clf_b], loss_fn)
+    enc_path, clf_path = _save(out_dir, "main", enc_b, clf_b, metrics)
+    _save(out_dir, "peer", enc_a)
+    return VariantResult(
+        variant=cfg.variant,
+        encoder=enc_b,
+        classifier=clf_b,
+        partner=enc_a,
+        metrics={"main": metrics},
+        encoder_checkpoint=enc_path,
+        classifier_checkpoint=clf_path,
+    )
+
+
 def train_variant(
     base: Split,
     cfg: TrainConfig,
@@ -668,37 +623,16 @@ def train_variant(
 ) -> VariantResult:
     """Run the full training scheme selected by ``cfg.variant`` and return
     the encoder to be evaluated plus everything trained along the way."""
-    aug = aug if aug is not None else AugmentConfig()
     variant = cfg.variant
     net = dict(hidden_dims=tuple(hidden_dims), embed_dim=embed_dim)
 
     if variant == Variant.MUTUAL:
-        return _train_mutual(
-            base, cfg, aug, out_dir, classifier_scale, tuple(hidden_dims), embed_dim
-        )
-
-    if variant in (Variant.CE_ONLY, Variant.MULTITASK):
-        main = train_main(base, cfg, partner=None, aug=aug, out_dir=out_dir,
-                          classifier_scale=classifier_scale, **net)
-        return VariantResult(
-            variant=variant,
-            encoder=main.encoder,
-            classifier=main.classifier,
-            partner=None,
-            metrics={"main": main.metrics},
-            encoder_checkpoint=main.encoder_checkpoint,
-            classifier_checkpoint=main.classifier_checkpoint,
-        )
+        return _train_mutual(base, cfg, aug, out_dir, classifier_scale, **net)
 
     if variant == Variant.SUPCT_ONLY:
-        part = train_partner(base, cfg, aug=aug, out_dir=None, objective="supct", **net)
-        enc_path = None
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            enc_path = out / "main_encoder.palw"
-            save_encoder(part.encoder, enc_path)
-            part.metrics.write_csv(out / "metrics_main.csv")
+        # The contrastive partner stage alone is the evaluated network.
+        part = train_partner(base, cfg, aug=aug, **net)
+        enc_path, _ = _save(out_dir, "main", part.encoder, metrics=part.metrics)
         return VariantResult(
             variant=variant,
             encoder=part.encoder,
@@ -708,62 +642,29 @@ def train_variant(
             encoder_checkpoint=enc_path,
         )
 
-    if variant == Variant.REVERSE:
-        # Cross-entropy first; its frozen features then anchor a
-        # contrastively trained second network. Stage one runs under its own
-        # derived seed so the two networks share neither init nor batch order.
-        ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
-        stage1 = train_main(base, ce_cfg, partner=None, aug=aug, out_dir=None,
-                            classifier_scale=classifier_scale, **net)
+    partner = partner_path = None
+    metrics = {}
+    if _VARIANT_FLAGS[variant].needs_partner:
+        if variant in (Variant.PARTNER_CE, Variant.REVERSE):
+            # A cross-entropy partner, trained under its own derived seed so
+            # the two networks share neither init nor batch order.
+            ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
+            stage1 = train_main(base, ce_cfg, aug=aug, classifier_scale=classifier_scale, **net)
+        else:
+            stage1 = train_partner(base, cfg, aug=aug, **net)
         partner = stage1.encoder.freeze()
-        stage2_flags = _MainFlags(use_ce=False, use_feat=True, align="none", aux_supct=True)
-        main = train_main(
-            base, cfg, partner=partner, aug=aug, out_dir=out_dir, flags=stage2_flags,
-            classifier_scale=classifier_scale, **net,
-        )
-        partner_path = None
-        if out_dir is not None:
-            partner_path = Path(out_dir) / "partner_encoder.palw"
-            save_encoder(partner, partner_path)
-            stage1.metrics.write_csv(Path(out_dir) / "metrics_partner.csv")
-        return VariantResult(
-            variant=variant,
-            encoder=main.encoder,
-            classifier=None,
-            partner=partner,
-            metrics={"partner": stage1.metrics, "main": main.metrics},
-            encoder_checkpoint=main.encoder_checkpoint,
-            partner_checkpoint=partner_path,
-        )
-
-    # PAL family and partner-objective ablations: stage one then stage two.
-    if variant == Variant.PARTNER_CE:
-        ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
-        stage1 = train_main(base, ce_cfg, partner=None, aug=aug, out_dir=None,
-                            classifier_scale=classifier_scale, **net)
-        partner = stage1.encoder.freeze()
-        partner_metrics = stage1.metrics
-    else:
-        part = train_partner(base, cfg, aug=aug, out_dir=None, **net)
-        partner = part.encoder.freeze()
-        partner_metrics = part.metrics
-
-    partner_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        partner_path = out / "partner_encoder.palw"
-        save_encoder(partner, partner_path)
-        partner_metrics.write_csv(out / "metrics_partner.csv")
+        metrics["partner"] = stage1.metrics
+        partner_path, _ = _save(out_dir, "partner", partner, metrics=stage1.metrics)
 
     main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir,
                       classifier_scale=classifier_scale, **net)
+    metrics["main"] = main.metrics
     return VariantResult(
         variant=variant,
         encoder=main.encoder,
         classifier=main.classifier,
         partner=partner,
-        metrics={"partner": partner_metrics, "main": main.metrics},
+        metrics=metrics,
         encoder_checkpoint=main.encoder_checkpoint,
         classifier_checkpoint=main.classifier_checkpoint,
         partner_checkpoint=partner_path,

@@ -1,0 +1,92 @@
+"""Golden digests: the bytes every training entry point writes at a tiny
+config.
+
+``golden/digests.json`` maps each checkpoint and metrics CSV (path relative
+to the output root) to its SHA-256. A refactor of the training code must
+leave every digest unchanged; a change that sets out to alter numerics
+regenerates only the affected entries and says why in CHANGES.md::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+The bytes depend on float arithmetic, so they are tied to the numpy and BLAS
+build the digests were generated with.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from pal.batching import AugmentConfig
+from pal.data import SyntheticSpec, generate_synthetic
+from pal.encoders import load_encoder
+from pal.training import TrainConfig, Variant, train_main, train_partner, train_variant
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+SPEC = SyntheticSpec(
+    n_base_classes=4, n_novel_classes=2, items_per_class=12, raw_dim=12, margin=2.5, seed=11
+)
+CFG = TrainConfig(
+    epochs=2,
+    lr=0.05,
+    lr_decay_epoch=1,
+    batch_size=8,
+    tau=0.5,
+    warmup_epochs=1,
+    seed=3,
+    momentum=0.9,
+    weight_decay=5e-4,
+)
+AUG = AugmentConfig(noise_sigma=0.3, mask_prob=0.1)
+NET = dict(hidden_dims=(16,), embed_dim=8)
+SCALE = 8.0
+CAPS = {"uncapped": {}, "capped": dict(n_pos=1, n_neg=2)}
+# The two-step CLI path: ``pal train-partner``, then ``pal train-main`` on the
+# reloaded, frozen partner checkpoint (no partner for CE_only).
+CLI_VARIANTS = (Variant.PAL, Variant.PARTNER_CT, Variant.CE_ONLY)
+
+
+def produce(out: Path) -> dict[str, str]:
+    """Write every golden output under ``out`` and return their digests."""
+    base = generate_synthetic(SPEC).base
+    for cap, fields in CAPS.items():
+        for variant in Variant:
+            cfg = replace(CFG, variant=variant, **fields)
+            run_dir = out / cap / variant.value
+            train_variant(base, cfg, aug=AUG, out_dir=run_dir, classifier_scale=SCALE, **NET)
+    for variant in CLI_VARIANTS:
+        cfg = replace(CFG, variant=variant)
+        run_dir = out / "cli" / variant.value
+        partner = None
+        if variant is not Variant.CE_ONLY:
+            part = train_partner(base, cfg, aug=AUG, out_dir=run_dir, **NET)
+            partner = load_encoder(part.checkpoint).freeze()
+        train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, classifier_scale=SCALE,
+                   **NET)
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_training_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    actual = produce(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = sorted(name for name in expected if actual[name] != expected[name])
+    assert changed == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = produce(Path(tmp))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")

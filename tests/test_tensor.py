@@ -11,8 +11,9 @@ from pal.core import (
     add,
     backward,
     dot,
-    forward_op,
+    exp,
     l2_normalize,
+    log,
     log_sum_exp,
     matmul,
     reduce_mean,
@@ -49,15 +50,6 @@ def test_shape_mismatch_names_op_and_shapes():
         dot(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeError, match="add"):
         add(Tensor(np.ones(3)), Tensor(np.ones(4)))
-
-
-def test_forward_op_dispatch():
-    out = forward_op("sub", Tensor([4.0]), Tensor([1.0]))
-    np.testing.assert_array_equal(out.data, [3.0])
-    out = forward_op("scale", Tensor([2.0]), 2.5)
-    np.testing.assert_array_equal(out.data, [5.0])
-    with pytest.raises(ParameterError, match="unknown op kind"):
-        forward_op("conv2d", Tensor([1.0]))
 
 
 def test_l2_normalize_three_four_five():
@@ -227,8 +219,8 @@ def test_every_primitive_matches_finite_differences(seed):
         (lambda t: reduce_sum(log_sum_exp(t, axis=-1) * Tensor(r_vec)), rng.normal(size=(n, m))),
         (lambda t: reduce_sum(softmax_temperature(t, 0.7) * Tensor(r_vec)), rng.normal(size=n)),
         (lambda t: reduce_sum(take_rows(t, idx) * Tensor(r_mat[idx])), rng.normal(size=(n, m))),
-        (lambda t: reduce_sum(forward_op("exp", t) * Tensor(r_vec)), rng.normal(size=n) * 0.5),
-        (lambda t: reduce_sum(forward_op("log", t) * Tensor(r_vec)), rng.random(n) + 0.5),
+        (lambda t: reduce_sum(exp(t) * Tensor(r_vec)), rng.normal(size=n) * 0.5),
+        (lambda t: reduce_sum(log(t) * Tensor(r_vec)), rng.random(n) + 0.5),
     ]
     for fn, x0 in cases:
         assert max_relative_error(fn, x0, h=1e-5) <= 1e-4

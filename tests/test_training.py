@@ -52,7 +52,11 @@ def test_train_config_validation():
         TrainConfig(epochs=10, lr_decay_epoch=11)
     with pytest.raises(ParameterError):
         TrainConfig(variant="NotAVariant")
+    for bad in (dict(kl_tau=0.0), dict(logit_tau=-1.0), dict(n_pos=0), dict(n_neg=0)):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            TrainConfig(**bad)
     assert TrainConfig(variant="PAL_feat_only").variant is Variant.PAL_FEAT_ONLY
+    assert TrainConfig(kl_tau=0.1, logit_tau=2.0, n_pos=1, n_neg=1).n_neg == 1
 
 
 def test_lr_schedule_full_scale_defaults():
