@@ -1,4 +1,4 @@
-"""Augmented-batch construction and soft-anchor sampling.
+"""Augmented-batch construction, positive masks and soft-anchor sampling.
 
 A training batch holds the two independently augmented views of B raw items
 stacked as 2B rows, with labels duplicated and the i <-> i+-B view pairing
@@ -6,9 +6,16 @@ kept explicit. Anchor pools are the frozen partner's embeddings of the
 current batch (co-batch anchors), which keeps them fresh and gradient-free
 by construction.
 
+Positives and anchors are stored as dense boolean masks, one row per batch
+instance. :func:`same_class_mask` is the single definition of a positive
+(same label, not the row itself); :func:`other_view_mask` is the
+unsupervised rule. Per-instance index arrays are derived from a mask with
+:func:`mask_rows` where a caller wants them.
+
 All sampling is driven by caller-provided generators; batch building and
 anchor sampling are deterministic per generator state, so parallel prefetch
-just needs per-batch streams split from the run seed.
+just needs per-batch streams split from the run seed. Uncapped anchor
+sampling (the default) draws nothing.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ContractError, ParameterError
+from .exceptions import ContractError, ParameterError, ShapeError
 
 if TYPE_CHECKING:
     from .encoders import Encoder
@@ -96,42 +103,106 @@ def build_batch(
     )
 
 
+def same_class_mask(labels) -> np.ndarray:
+    """``mask[i, j]`` is True when rows i and j share a label and ``i != j``.
+
+    This is the package's one definition of a positive: row i's positives are
+    the True entries of row i, its other augmented view among them.
+    """
+    labels = np.asarray(labels)
+    mask = labels[:, None] == labels[None, :]
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def other_view_mask(n: int) -> np.ndarray:
+    """``mask[i, j]`` is True when j is i's other augmented view in an n-row
+    batch: ``j = i + n/2`` in the first half, ``i - n/2`` in the second."""
+    if n % 2 != 0:
+        raise ShapeError(f"an augmented batch has an even row count, got {n}")
+    b = n // 2
+    return np.eye(n, k=b, dtype=bool) | np.eye(n, k=-b, dtype=bool)
+
+
+def mask_rows(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ascending column indices of each row's True entries."""
+    if len(mask) == 0:
+        return ()
+    cols = np.nonzero(mask)[1]
+    return tuple(np.split(cols, np.cumsum(np.count_nonzero(mask, axis=1))[:-1]))
+
+
 def positive_index_sets(batch: AugmentedBatch, mode: str) -> list[np.ndarray]:
     """Per-instance positive indices: same-class peers (supervised) or just
     the other view (unsupervised)."""
-    n = batch.size
     if mode == "supervised":
-        labels = batch.labels
-        out = []
-        for i in range(n):
-            same = np.flatnonzero(labels == labels[i])
-            out.append(same[same != i])
-        return out
+        return list(mask_rows(same_class_mask(batch.labels)))
     if mode == "unsupervised":
-        return [np.array([partner]) for partner in batch.view_map]
+        return list(mask_rows(other_view_mask(batch.size)))
     raise ParameterError(f"mode must be 'supervised' or 'unsupervised', got {mode!r}")
 
 
 @dataclass
 class AnchorSets:
-    """Per-instance positive/negative anchor features from the frozen partner.
+    """Per-instance positive/negative anchors from the frozen partner.
 
-    ``features`` rows are constants (never part of a graph); ``pos_indices``
-    and ``neg_indices`` index into them per main-batch instance.
+    ``features`` rows are constants (never part of a graph). Row i of the
+    boolean (n, A) ``pos_mask``/``neg_mask`` marks the anchors that are
+    positives/negatives of main-batch instance i.
     """
 
     features: np.ndarray  # (A, d) unit rows
     anchor_labels: np.ndarray  # (A,)
     instance_labels: np.ndarray  # (n,)
-    pos_indices: tuple[np.ndarray, ...]
-    neg_indices: tuple[np.ndarray, ...]
+    pos_mask: np.ndarray  # (n, A) bool
+    neg_mask: np.ndarray  # (n, A) bool
+
+    def __post_init__(self):
+        shape = (len(self.instance_labels), len(self.features))
+        for name in ("pos_mask", "neg_mask"):
+            mask = getattr(self, name)
+            if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != shape:
+                raise ShapeError(f"{name} must be a boolean array of shape {shape}")
+
+    @classmethod
+    def from_indices(
+        cls, features, anchor_labels, instance_labels, pos_indices, neg_indices
+    ) -> "AnchorSets":
+        """Build from one index array per instance into the rows of
+        ``features``; every index must lie in ``[0, A)``."""
+        features = np.asarray(features, dtype=np.float64)
+        instance_labels = np.asarray(instance_labels)
+        n, a = len(instance_labels), len(features)
+        masks = []
+        for name, sets in (("pos_indices", pos_indices), ("neg_indices", neg_indices)):
+            if len(sets) != n:
+                raise ShapeError(f"{name}: got {len(sets)} sets for {n} instances")
+            mask = np.zeros((n, a), dtype=bool)
+            for i, idx in enumerate(sets):
+                idx = np.asarray(idx, dtype=np.intp)
+                if np.any((idx < 0) | (idx >= a)):
+                    raise ShapeError(f"{name}[{i}]: anchor index outside [0, {a}): {idx.tolist()}")
+                mask[i, idx] = True
+            masks.append(mask)
+        return cls(features, np.asarray(anchor_labels), instance_labels, *masks)
+
+    @property
+    def pos_indices(self) -> tuple[np.ndarray, ...]:
+        return mask_rows(self.pos_mask)
+
+    @property
+    def neg_indices(self) -> tuple[np.ndarray, ...]:
+        return mask_rows(self.neg_mask)
 
     def validate(self) -> None:
-        for i, (pos, neg) in enumerate(zip(self.pos_indices, self.neg_indices)):
-            if not np.all(self.anchor_labels[pos] == self.instance_labels[i]):
-                raise ContractError(f"instance {i}: positive anchor with a different class")
-            if np.any(self.anchor_labels[neg] == self.instance_labels[i]):
-                raise ContractError(f"instance {i}: negative anchor with the same class")
+        same = self.instance_labels[:, None] == self.anchor_labels[None, :]
+        for bad, what in (
+            (self.pos_mask & ~same, "positive anchor with a different class"),
+            (self.neg_mask & same, "negative anchor with the same class"),
+        ):
+            rows = np.flatnonzero(bad.any(axis=1))
+            if len(rows):
+                raise ContractError(f"instance {rows[0]}: {what}")
 
 
 def sample_anchor_sets(
@@ -146,7 +217,8 @@ def sample_anchor_sets(
     ``None`` means "all available" (the default, mirroring the contrastive
     denominator structure); integers must be >= 1 and are capped at what the
     batch can provide. Positives exclude the instance itself but include its
-    other view.
+    other view. With both counts ``None`` the anchors are the whole masked
+    co-batch and nothing is drawn from ``rng``.
     """
     if not partner.frozen:
         raise ContractError("anchor sampling requires a frozen partner encoder")
@@ -157,20 +229,22 @@ def sample_anchor_sets(
 
     features = partner.encode(batch.inputs)
     labels = batch.labels
-    pos_sets: list[np.ndarray] = []
-    neg_sets: list[np.ndarray] = []
-    for i in range(batch.size):
-        same = np.flatnonzero(labels == labels[i])
-        same = same[same != i]
-        diff = np.flatnonzero(labels != labels[i])
-        take_p = len(same) if n_pos is None else min(n_pos, len(same))
-        take_n = len(diff) if n_neg is None else min(n_neg, len(diff))
-        pos_sets.append(np.sort(rng.choice(same, size=take_p, replace=False)) if take_p else same[:0])
-        neg_sets.append(np.sort(rng.choice(diff, size=take_n, replace=False)) if take_n else diff[:0])
-    return AnchorSets(
-        features=features,
-        anchor_labels=labels.copy(),
-        instance_labels=labels.copy(),
-        pos_indices=tuple(pos_sets),
-        neg_indices=tuple(neg_sets),
-    )
+    pos_mask = same_class_mask(labels)
+    neg_mask = labels[:, None] != labels[None, :]
+    if n_pos is not None or n_neg is not None:
+        pos_mask, neg_mask = _draw_capped(pos_mask, neg_mask, rng, n_pos, n_neg)
+    return AnchorSets(features, labels.copy(), labels.copy(), pos_mask, neg_mask)
+
+
+def _draw_capped(pos_mask, neg_mask, rng, n_pos, n_neg):
+    """Keep at most ``n_pos``/``n_neg`` of each row's candidates, drawn
+    uniformly without replacement. Rows are drawn in order, positives before
+    negatives, which fixes the generator stream of capped runs."""
+    kept = (np.zeros_like(pos_mask), np.zeros_like(neg_mask))
+    for i in range(len(pos_mask)):
+        for cand_mask, cap, out in zip((pos_mask, neg_mask), (n_pos, n_neg), kept):
+            cand = np.flatnonzero(cand_mask[i])
+            take = len(cand) if cap is None else min(cap, len(cand))
+            if take:
+                out[i, rng.choice(cand, size=take, replace=False)] = True
+    return kept

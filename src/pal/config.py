@@ -70,6 +70,12 @@ def _parse_optional_int(text: str):
     return int(text)
 
 
+def _parse_optional_float(text: str):
+    if text.strip().lower() in ("none", ""):
+        return None
+    return float(text)
+
+
 _SCHEMA = {
     "data": {"base": str, "novel": str},
     "encoder": {
@@ -86,8 +92,8 @@ _SCHEMA = {
         "lr_decay_epoch": int,
         "batch_size": int,
         "tau": float,
-        "kl_tau": float,
-        "logit_tau": float,
+        "kl_tau": _parse_optional_float,
+        "logit_tau": _parse_optional_float,
         "warmup_epochs": int,
         "seed": int,
         "variant": str,
@@ -221,6 +227,8 @@ def write_config_template(path, run: RunConfig | None = None) -> None:
         f"lr_decay_epoch = {t.lr_decay_epoch}",
         f"batch_size = {t.batch_size}",
         f"tau = {t.tau}",
+        f"kl_tau = {'none' if t.kl_tau is None else t.kl_tau}",
+        f"logit_tau = {'none' if t.logit_tau is None else t.logit_tau}",
         f"warmup_epochs = {t.warmup_epochs}",
         f"seed = {t.seed}",
         f"variant = {t.variant.value}",

@@ -3,10 +3,14 @@ logits, temperature-scaled soft labels, KL distillation, and the two
 alignment constraints (logit-level and feature-level).
 
 All losses are pure functions over tensors and safe to evaluate concurrently
-on disjoint graphs. Contrastive-style losses return a
-:class:`ContrastiveResult` carrying the count of instances skipped for lack
-of positives; an in-batch view always has at least its other augmented view
-as a positive, so skips only occur for hand-built degenerate views.
+on disjoint graphs. Contrastive-style losses take their positives as a dense
+boolean mask (row i marks i's positives: a :class:`ContrastiveBatchView`
+holds an (n, n) one, :class:`~pal.batching.AnchorSets` an (n, A) one) and
+weight each positive similarity by ``1/count`` of its row, so no loss loops
+over rows. They return a :class:`ContrastiveResult` carrying the count of
+instances skipped for lack of positives; an in-batch view always has at
+least its other augmented view as a positive, so skips only occur for
+hand-built degenerate views.
 
 Instances are summed, not averaged: callers that want a per-instance scale
 divide by the batch size themselves (the trainers do).
@@ -15,11 +19,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .batching import AnchorSets
+from .batching import AnchorSets, other_view_mask, same_class_mask
 from .core import (
     Tensor,
     as_tensor,
@@ -32,7 +36,6 @@ from .core import (
     reshape,
     scale,
     softmax_temperature,
-    take_rows,
     transpose,
 )
 from .encoders import CosineClassifier
@@ -72,46 +75,35 @@ class SoftLabel:
 
 @dataclass
 class ContrastiveBatchView:
-    """2B unit embeddings with labels, per-instance positive sets, and the
+    """2B unit embeddings with labels, the positive mask, and the
     contrastive temperature."""
 
     features: Tensor  # (n, d), unit rows
     labels: np.ndarray  # (n,)
-    pos_index_sets: tuple[np.ndarray, ...]
+    pos_mask: np.ndarray  # (n, n) bool, row i marks i's positives
     tau: float
     mode: str = "supervised"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
-        if len(self.pos_index_sets) != self.features.shape[0]:
-            raise ShapeError(
-                f"got {len(self.pos_index_sets)} positive sets for "
-                f"{self.features.shape[0]} features"
-            )
+        n = self.features.shape[0]
+        mask = self.pos_mask
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (n, n):
+            raise ShapeError(f"pos_mask must be a boolean array of shape {(n, n)} for {n} features")
 
     @classmethod
     def supervised(cls, features, labels, tau: float) -> "ContrastiveBatchView":
-        features = as_tensor(features)
+        """Positives are the other rows with the same label."""
         labels = np.asarray(labels)
-        sets = []
-        for i in range(len(labels)):
-            same = np.flatnonzero(labels == labels[i])
-            sets.append(same[same != i])
-        return cls(features, labels, tuple(sets), tau, mode="supervised")
+        return cls(as_tensor(features), labels, same_class_mask(labels), tau, mode="supervised")
 
     @classmethod
     def unsupervised(cls, features, labels, tau: float) -> "ContrastiveBatchView":
         """Positive set is the other augmented view: i+B for i < B, i-B after."""
         features = as_tensor(features)
-        labels = np.asarray(labels)
-        n = features.shape[0]
-        if n % 2 != 0:
-            raise ShapeError(f"an augmented batch has an even row count, got {n}")
-        b = n // 2
-        partner = np.concatenate([np.arange(b) + b, np.arange(b)])
-        sets = tuple(np.array([p]) for p in partner)
-        return cls(features, labels, sets, tau, mode="unsupervised")
+        mask = other_view_mask(features.shape[0])
+        return cls(features, np.asarray(labels), mask, tau, mode="unsupervised")
 
 
 class ContrastiveResult(NamedTuple):
@@ -122,29 +114,30 @@ class ContrastiveResult(NamedTuple):
 def _contrastive_sum(
     sims: Tensor,
     candidate_mask: np.ndarray,
-    pos_sets: Sequence[np.ndarray],
+    pos_mask: np.ndarray,
 ) -> ContrastiveResult:
     """Sum over instances of ``lse(candidates) - mean(positive sims)``.
 
     ``sims`` is the (n, m) similarity matrix already divided by tau;
     ``candidate_mask`` is additive (0 where a column participates in the
-    denominator of row i, -inf elsewhere). Rows with no positives are
-    skipped and counted.
+    denominator of row i, -inf elsewhere); ``pos_mask`` is the boolean (n, m)
+    positive mask. Rows with no positives are skipped and counted: they
+    weigh 0 in both terms, and their candidate row is made finite so that
+    no log-sum-exp over an empty row enters the graph.
     """
-    n, m = sims.shape
-    active = np.array([i for i in range(n) if len(pos_sets[i]) > 0], dtype=np.intp)
-    skipped = n - len(active)
+    counts = np.count_nonzero(pos_mask, axis=1)
+    has_pos = counts > 0
+    skipped = int(np.count_nonzero(~has_pos))
     if skipped:
         logger.warning("contrastive loss: skipped %d instance(s) with no positives", skipped)
-    if len(active) == 0:
+    if not has_pos.any():
         return ContrastiveResult(Tensor(0.0), skipped)
 
-    pos_weights = np.zeros((len(active), m))
-    for row, i in enumerate(active):
-        pos_weights[row, pos_sets[i]] = 1.0 / len(pos_sets[i])
-
-    denom = log_sum_exp(take_rows(sims + candidate_mask, active), axis=-1)
-    numer = reduce_sum(take_rows(sims, active) * pos_weights)
+    pos_weights = pos_mask / np.maximum(counts, 1)[:, None]
+    denom = log_sum_exp(sims + np.where(has_pos[:, None], candidate_mask, 0.0), axis=-1)
+    if skipped:
+        denom = denom * has_pos
+    numer = reduce_sum(sims * pos_weights)
     return ContrastiveResult(reduce_sum(denom) - numer, skipped)
 
 
@@ -160,7 +153,7 @@ def supct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
     sims = scale(matmul(z, transpose(z)), 1.0 / view.tau)
     self_mask = np.zeros((n, n))
     np.fill_diagonal(self_mask, -np.inf)
-    return _contrastive_sum(sims, self_mask, view.pos_index_sets)
+    return _contrastive_sum(sims, self_mask, view.pos_mask)
 
 
 def ct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
@@ -298,13 +291,10 @@ def feat_align_loss(z_main, anchors: AnchorSets, tau: float) -> ContrastiveResul
     if z.ndim == 1:
         z = reshape(z, (1, z.shape[0]))
     n = z.shape[0]
-    if n != len(anchors.pos_indices):
+    if n != len(anchors.pos_mask):
         raise ShapeError(
-            f"feat_align_loss: {n} embeddings vs {len(anchors.pos_indices)} anchor sets"
+            f"feat_align_loss: {n} embeddings vs {len(anchors.pos_mask)} anchor sets"
         )
     sims = scale(matmul(z, anchors.features.T), 1.0 / tau)
-    mask = np.full((n, anchors.features.shape[0]), -np.inf)
-    for i, (pos, neg) in enumerate(zip(anchors.pos_indices, anchors.neg_indices)):
-        mask[i, pos] = 0.0
-        mask[i, neg] = 0.0
-    return _contrastive_sum(sims, mask, anchors.pos_indices)
+    mask = np.where(anchors.pos_mask | anchors.neg_mask, 0.0, -np.inf)
+    return _contrastive_sum(sims, mask, anchors.pos_mask)

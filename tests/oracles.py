@@ -2,7 +2,8 @@
 
 Everything here is written as plain double loops over python floats (with a
 max-shift for stability), deliberately sharing no code with the tensor path
-it checks.
+it checks. The positive and anchor sets are built one row at a time, the
+way the package built them before it used dense masks.
 """
 from __future__ import annotations
 
@@ -61,6 +62,39 @@ def feat_align_brute(z_main: np.ndarray, anchors: np.ndarray, pos_sets, neg_sets
             inner += float(z_main[i] @ anchors[j]) / tau - denom
         total += -inner / len(pos)
     return total, skipped
+
+
+def positive_sets_loop(labels) -> list[np.ndarray]:
+    """Supervised positive sets, one row at a time: same label, not i."""
+    labels = np.asarray(labels)
+    out = []
+    for i in range(len(labels)):
+        same = np.flatnonzero(labels == labels[i])
+        out.append(same[same != i])
+    return out
+
+
+def other_view_sets_loop(n: int) -> list[np.ndarray]:
+    """Unsupervised positive sets: i's other view, i+B for i < B, i-B after."""
+    b = n // 2
+    partner = np.concatenate([np.arange(b) + b, np.arange(b)])
+    return [np.array([p]) for p in partner]
+
+
+def anchor_sets_loop(labels, rng: np.random.Generator, n_pos=None, n_neg=None):
+    """Per-row anchor draws: ``None`` keeps every candidate, an integer keeps
+    that many drawn without replacement, positives before negatives."""
+    labels = np.asarray(labels)
+    pos_sets, neg_sets = [], []
+    for i in range(len(labels)):
+        same = np.flatnonzero(labels == labels[i])
+        same = same[same != i]
+        diff = np.flatnonzero(labels != labels[i])
+        take_p = len(same) if n_pos is None else min(n_pos, len(same))
+        take_n = len(diff) if n_neg is None else min(n_neg, len(diff))
+        pos_sets.append(np.sort(rng.choice(same, size=take_p, replace=False)) if take_p else same[:0])
+        neg_sets.append(np.sort(rng.choice(diff, size=take_n, replace=False)) if take_n else diff[:0])
+    return pos_sets, neg_sets
 
 
 def softmax_py(values, tau: float = 1.0):

@@ -57,7 +57,7 @@ def _random_anchor_sets(rng, n, a, d):
     pos = [np.flatnonzero(labels == y) for y in inst]
     neg = [np.flatnonzero(labels != y) for y in inst]
     return (
-        AnchorSets(
+        AnchorSets.from_indices(
             features=feats,
             anchor_labels=labels,
             instance_labels=inst,

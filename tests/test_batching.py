@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from pal.batching import (
+    AnchorSets,
     AugmentConfig,
     augment,
     build_batch,
+    mask_rows,
     positive_index_sets,
     sample_anchor_sets,
 )
 from pal.core import backward
 from pal.encoders import Encoder, EncoderConfig
-from pal.exceptions import ContractError, ParameterError
-from pal.losses import feat_align_loss
+from pal.exceptions import ContractError, ParameterError, ShapeError
+from pal.losses import ContrastiveBatchView, feat_align_loss
+
+from oracles import anchor_sets_loop, other_view_sets_loop, positive_sets_loop
 
 
 @pytest.fixture
@@ -156,6 +160,76 @@ def test_anchor_sampling_uniform_frequencies(partner):
     eligible = [j for j in range(batch.size) if j != 0]
     freqs = counts[eligible] / draws
     assert np.all(np.abs(freqs - 1.0 / len(eligible)) <= 0.05)
+
+
+def _assert_same_sets(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype.kind == "i"
+        np.testing.assert_array_equal(g, e)
+
+
+def test_masks_match_loop_reference(partner):
+    rng = np.random.default_rng(23)
+    label_vectors = [np.zeros(5, dtype=int), np.arange(6)]  # one class; all distinct
+    for _ in range(20):
+        label_vectors.append(rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(1, 9))))
+    for raw_labels in label_vectors:
+        raw = rng.normal(size=(len(raw_labels), 4))
+        batch = build_batch(raw, raw_labels, rng, AugmentConfig(0.1, 0.0))
+        supervised = positive_sets_loop(batch.labels)
+        unsupervised = other_view_sets_loop(batch.size)
+        _assert_same_sets(positive_index_sets(batch, "supervised"), supervised)
+        _assert_same_sets(positive_index_sets(batch, "unsupervised"), unsupervised)
+        z = rng.normal(size=(batch.size, 3))
+        view = ContrastiveBatchView.supervised(z, batch.labels, 0.5)
+        _assert_same_sets(mask_rows(view.pos_mask), supervised)
+        view = ContrastiveBatchView.unsupervised(z, batch.labels, 0.5)
+        _assert_same_sets(mask_rows(view.pos_mask), unsupervised)
+
+        untouched = np.random.default_rng(0)
+        anchors = sample_anchor_sets(partner, batch, untouched)
+        pos, neg = anchor_sets_loop(batch.labels, np.random.default_rng(1))
+        _assert_same_sets(anchors.pos_indices, pos)
+        _assert_same_sets(anchors.neg_indices, neg)
+        assert untouched.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+        for n_pos, n_neg in ((1, 2), (2, None), (None, 1)):
+            seed = int(rng.integers(1 << 30))
+            drawn, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            anchors = sample_anchor_sets(partner, batch, drawn, n_pos=n_pos, n_neg=n_neg)
+            pos, neg = anchor_sets_loop(batch.labels, looped, n_pos, n_neg)
+            _assert_same_sets(anchors.pos_indices, pos)
+            _assert_same_sets(anchors.neg_indices, neg)
+            assert drawn.bit_generator.state == looped.bit_generator.state
+
+
+def test_anchor_sets_reject_out_of_range_indices():
+    feats = np.eye(3)
+    labels = np.array([0, 1, 1])
+    for bad in ([-3], [3], [0, -1]):
+        with pytest.raises(ShapeError, match="outside"):
+            AnchorSets.from_indices(feats, labels, [0], pos_indices=[bad], neg_indices=[[1]])
+        with pytest.raises(ShapeError, match="outside"):
+            AnchorSets.from_indices(feats, labels, [0], pos_indices=[[0]], neg_indices=[bad])
+    with pytest.raises(ShapeError):
+        AnchorSets.from_indices(feats, labels, [0, 1], pos_indices=[[0]], neg_indices=[[1], [0]])
+    with pytest.raises(ShapeError):
+        AnchorSets(feats, labels, np.array([0]), np.ones((1, 2), bool), np.zeros((1, 3), bool))
+    ok = AnchorSets.from_indices(feats, labels, [0], pos_indices=[[0]], neg_indices=[[2, 1]])
+    ok.validate()
+    _assert_same_sets(ok.neg_indices, [np.array([1, 2])])
+
+
+def test_anchor_sets_validate_names_the_instance():
+    feats = np.eye(3)
+    labels = np.array([0, 1, 1])
+    wrong_pos = AnchorSets.from_indices(feats, labels, [0, 1], [[0], [0]], [[1], [0]])
+    with pytest.raises(ContractError, match="instance 1: positive"):
+        wrong_pos.validate()
+    wrong_neg = AnchorSets.from_indices(feats, labels, [0, 1], [[0], [1]], [[1], [2]])
+    with pytest.raises(ContractError, match="instance 1: negative"):
+        wrong_neg.validate()
 
 
 def test_anchor_sampling_requires_frozen_partner():

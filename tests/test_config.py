@@ -1,6 +1,8 @@
 """Config file parsing, overrides, environment seed."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from pal.config import (
@@ -126,3 +128,11 @@ def test_template_round_trips(tmp_path):
     run = build_run_config(config_path=path, env={})
     assert run.train.epochs == 30
     assert run.train.n_pos is None
+    # Both optional temperatures survive a write and a read, set and unset.
+    for kl_tau, logit_tau in ((0.2, 0.7), (None, None)):
+        written = build_run_config(env={})
+        written = replace(written, train=replace(written.train, kl_tau=kl_tau, logit_tau=logit_tau))
+        write_config_template(path, written)
+        back = build_run_config(config_path=path, env={})
+        assert (back.train.kl_tau, back.train.logit_tau) == (kl_tau, logit_tau)
+        assert back.train == written.train

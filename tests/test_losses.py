@@ -39,7 +39,7 @@ from oracles import (
 
 
 def make_anchor_sets(features, labels, instance_labels, pos_sets, neg_sets):
-    return AnchorSets(
+    return AnchorSets.from_indices(
         features=np.asarray(features, dtype=np.float64),
         anchor_labels=np.asarray(labels),
         instance_labels=np.asarray(instance_labels),
@@ -121,6 +121,21 @@ def test_ct_requires_unsupervised_view():
         ct_loss(ContrastiveBatchView.supervised(Tensor(z), [0, 1, 0, 1], 0.5))
 
 
+def test_view_rejects_malformed_positive_mask():
+    z = Tensor(random_unit_rows(np.random.default_rng(5), 4, 3))
+    labels = np.array([0, 1, 0, 1])
+    good = ContrastiveBatchView.supervised(z, labels, 0.5).pos_mask
+    for bad in (
+        good[:, :3],  # wrong shape
+        good.astype(np.intp),  # wrong dtype
+        (np.array([-1]), np.array([3]), np.array([0]), np.array([1])),  # index sets
+    ):
+        with pytest.raises(ShapeError):
+            ContrastiveBatchView(z, labels, bad, 0.5)
+    with pytest.raises(ShapeError):
+        ContrastiveBatchView.supervised(z, labels[:3], 0.5)
+
+
 def test_ct_vs_supct_differ_by_extra_positive_terms():
     rng = np.random.default_rng(4)
     z = random_unit_rows(rng, 6, 5)
@@ -161,11 +176,11 @@ def test_tau_change_preserves_batch_ordering():
 
     tight, loose = batch(0.9 * math.pi), batch(0.5 * math.pi)
     for tau in (0.5, 1.0):
-        lt = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_index_sets, tau)).loss)
-        ll = float(supct_loss(ContrastiveBatchView(loose.features, loose.labels, loose.pos_index_sets, tau)).loss)
+        lt = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_mask, tau)).loss)
+        ll = float(supct_loss(ContrastiveBatchView(loose.features, loose.labels, loose.pos_mask, tau)).loss)
         assert lt < ll
-    v05 = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_index_sets, 0.5)).loss)
-    v10 = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_index_sets, 1.0)).loss)
+    v05 = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_mask, 0.5)).loss)
+    v10 = float(supct_loss(ContrastiveBatchView(tight.features, tight.labels, tight.pos_mask, 1.0)).loss)
     assert v05 != pytest.approx(v10, abs=1e-6)
 
 
@@ -401,6 +416,26 @@ def test_feat_align_empty_positive_skipped_with_report():
     assert got.skipped == 1
     expected, _ = feat_align_brute(z, np.eye(3), [[], [0, 1, 2]], [[0, 1, 2], []], 0.5)
     assert float(got.loss) == pytest.approx(expected, abs=1e-9)
+
+
+def test_feat_align_skipped_row_without_candidates_is_finite():
+    # Instance 0 has neither positives nor negatives: it is skipped, and
+    # neither the loss nor the gradient may turn non-finite through it.
+    anchors = make_anchor_sets(
+        features=np.eye(3),
+        labels=[1, 1, 2],
+        instance_labels=[0, 1],
+        pos_sets=[[], [0, 1]],
+        neg_sets=[[], [2]],
+    )
+    z = Tensor(random_unit_rows(np.random.default_rng(16), 2, 3), requires_grad=True)
+    got = feat_align_loss(z, anchors, tau=0.5)
+    assert got.skipped == 1
+    expected, _ = feat_align_brute(z.data, np.eye(3), [[], [0, 1]], [[], [2]], 0.5)
+    assert float(got.loss) == pytest.approx(expected, abs=1e-9)
+    backward(got.loss)
+    assert np.all(np.isfinite(z.grad))
+    np.testing.assert_array_equal(z.grad[0], 0.0)
 
 
 def test_feat_align_anchor_gradient_free():
