@@ -20,11 +20,17 @@ Dataset file format (little-endian)::
 ``label width`` declares the exclusive upper bound of the label ids in the
 file; base and novel files of one benchmark share it, keeping the id ranges
 globally disjoint.
+
+Dataset and checkpoint files are written through :func:`atomic_write`, so a
+file on disk is either complete or absent (or still the old complete file).
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -81,9 +87,6 @@ class Split:
     @property
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
-
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.y == label)
 
 
 @dataclass
@@ -221,8 +224,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
     )
     dataset = SyntheticDataset(base=base, novel=novel, report=report)
     if out_dir is not None:
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_dataset(base, out / "base.pald")
@@ -230,10 +231,26 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
     return dataset
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file handle on a temporary file beside ``path``. On success it
+    replaces ``path`` in one step; on failure it is removed and ``path`` is
+    left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(split: Split, path) -> None:
     x = np.ascontiguousarray(split.x, dtype="<f4")
     y = np.ascontiguousarray(split.y, dtype="<i4")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(DATA_MAGIC)
         fh.write(struct.pack("<III", DATA_VERSION, x.shape[0], x.shape[1]))
         fh.write(struct.pack("<I", split.label_width))
@@ -261,6 +278,9 @@ def load_dataset(path) -> Split:
         )
     x = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=20).reshape(count, dim)
     y = np.frombuffer(blob, dtype="<i4", count=count, offset=20 + x_bytes)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: non-finite feature value at row {int(bad[0])}")
     bad = np.flatnonzero((y < 0) | (y >= label_width))
     if len(bad):
         row = int(bad[0])

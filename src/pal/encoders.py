@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor, l2_normalize, matmul, relu
+from .data import atomic_write
 from .exceptions import FormatError, ParameterError, ShapeError
 
 CHECKPOINT_MAGIC = b"PALW"
@@ -159,7 +160,7 @@ class CosineClassifier:
 
 
 def _write_palw(path, layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(layers)))
         for w, b in layers:

@@ -1,13 +1,18 @@
 """Episode sampling, prototype classification, and accuracy aggregation.
 
-The encoder is read-only during evaluation. Each episode draws from its own
-generator stream split off the evaluation seed, so the report does not
-depend on evaluation order and repeated runs with one seed are identical.
+The encoder is read-only during evaluation, so :func:`evaluate` does every
+per-split step once per call: it groups the novel rows by class, checks that
+enough classes can fill an episode, and encodes the whole split in a single
+``encode``. An episode is then only its random draws, which pick row indices
+into the split, plus gathers from the cached embeddings. Each episode draws
+from its own generator stream split off the evaluation seed, so the report
+does not depend on evaluation order and repeated runs with one seed are
+identical.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,13 +21,54 @@ from .data import Split
 from .exceptions import CapacityError, ContractError, ParameterError
 
 
+@dataclass(frozen=True)
+class EpisodePool:
+    """What every N-way K-shot episode of one split draws from: the classes
+    with at least k + q rows (ascending ids) and each one's row indices
+    (ascending). Built once per split by :func:`episode_pool`."""
+
+    x: np.ndarray = field(repr=False)  # the split's rows, shared, not copied
+    eligible: np.ndarray  # class ids
+    rows: dict[int, np.ndarray]  # class id -> row indices into ``x``
+
+
+def episode_pool(novel: Split, n: int, k: int, q: int) -> EpisodePool:
+    """Group ``novel`` by class and check that ``n`` classes can each give
+    ``k`` support and ``q`` query rows."""
+    if n < 1 or k < 1 or q < 1:
+        raise ParameterError(f"n, k, q must be >= 1, got {(n, k, q)}")
+    order = np.argsort(novel.y, kind="stable")
+    classes, starts, counts = np.unique(novel.y[order], return_index=True, return_counts=True)
+    keep = counts >= k + q
+    if np.count_nonzero(keep) < n:
+        raise CapacityError(
+            f"episode needs {n} classes with >= {k + q} items; only "
+            f"{np.count_nonzero(keep)} of {len(classes)} novel classes qualify"
+        )
+    rows = np.split(order, starts[1:])
+    return EpisodePool(
+        x=novel.x,
+        eligible=classes[keep],
+        rows={int(c): r for c, r, ok in zip(classes, rows, keep) if ok},
+    )
+
+
 @dataclass
 class Episode:
     classes: np.ndarray  # (n,) novel class ids
-    support_x: np.ndarray  # (n*k, dim)
+    support_rows: np.ndarray  # (n*k,) row indices into ``x``, k per class in class order
     support_y: np.ndarray  # (n*k,) positions into ``classes``
-    query_x: np.ndarray  # (n*q, dim)
+    query_rows: np.ndarray  # (n*q,) row indices into ``x``, q per class in class order
     query_y: np.ndarray  # (n*q,) positions into ``classes``
+    x: np.ndarray = field(repr=False)  # the split's rows, shared, not copied
+
+    @property
+    def support_x(self) -> np.ndarray:
+        return self.x[self.support_rows].astype(np.float64)
+
+    @property
+    def query_x(self) -> np.ndarray:
+        return self.x[self.query_rows].astype(np.float64)
 
 
 @dataclass
@@ -45,47 +91,39 @@ class EvalReport:
 
 
 def sample_episode(
-    novel: Split, n: int, k: int, q: int, rng: np.random.Generator
+    novel: Split | EpisodePool, n: int, k: int, q: int, rng: np.random.Generator
 ) -> Episode:
     """Uniform N-way K-shot task: classes without replacement, then items
-    without replacement within each class; support and query are disjoint."""
-    if n < 1 or k < 1 or q < 1:
-        raise ParameterError(f"n, k, q must be >= 1, got {(n, k, q)}")
-    classes = novel.classes
-    eligible = np.array([c for c in classes if len(novel.class_indices(c)) >= k + q])
-    if len(eligible) < n:
-        raise CapacityError(
-            f"episode needs {n} classes with >= {k + q} items; only "
-            f"{len(eligible)} of {len(classes)} novel classes qualify"
-        )
-    chosen = rng.choice(eligible, size=n, replace=False)
-    support_x, support_y, query_x, query_y = [], [], [], []
-    for pos, c in enumerate(chosen):
-        idx = novel.class_indices(int(c))
-        picked = rng.choice(idx, size=k + q, replace=False)
-        support_x.append(novel.x[picked[:k]])
-        query_x.append(novel.x[picked[k:]])
-        support_y.append(np.full(k, pos))
-        query_y.append(np.full(q, pos))
+    without replacement within each class; support and query are disjoint.
+
+    ``novel`` is a split, or the pool :func:`episode_pool` built from one for
+    the same ``n``, ``k`` and ``q``."""
+    pool = novel if isinstance(novel, EpisodePool) else episode_pool(novel, n, k, q)
+    chosen = rng.choice(pool.eligible, size=n, replace=False)
+    picked = np.stack(
+        [rng.choice(pool.rows[c], size=k + q, replace=False) for c in chosen.tolist()]
+    )
     return Episode(
-        classes=np.asarray(chosen),
-        support_x=np.concatenate(support_x).astype(np.float64),
-        support_y=np.concatenate(support_y),
-        query_x=np.concatenate(query_x).astype(np.float64),
-        query_y=np.concatenate(query_y),
+        classes=chosen,
+        support_rows=picked[:, :k].ravel(),
+        support_y=np.repeat(np.arange(n), k),
+        query_rows=picked[:, k:].ravel(),
+        query_y=np.repeat(np.arange(n), q),
+        x=pool.x,
     )
 
 
-def prototypes(enc, support_x: np.ndarray, support_y: np.ndarray, n: int) -> np.ndarray:
-    """Per-class mean of support embeddings, then L2-normalized."""
-    z = enc.encode(support_x)
-    protos = np.zeros((n, z.shape[1]))
-    for pos in range(n):
-        members = z[support_y == pos]
-        if len(members) == 0:
-            raise ContractError(f"prototype class {pos} has no support items")
-        protos[pos] = members.mean(axis=0)
-    return l2_normalize(protos, axis=-1)
+def prototypes(z_support: np.ndarray, support_y: np.ndarray, n: int) -> np.ndarray:
+    """Per-class mean of the support embeddings, then L2-normalized. The rows
+    come k per class in class order, as :func:`sample_episode` lays them out."""
+    z = np.asarray(z_support, dtype=np.float64)
+    k = len(z) // n
+    if k == 0 or not np.array_equal(support_y, np.repeat(np.arange(n), k)):
+        raise ContractError(
+            f"prototypes need k >= 1 support rows for each of the {n} classes, "
+            "grouped in class order"
+        )
+    return l2_normalize(z.reshape(n, k, -1).mean(axis=1), axis=-1)
 
 
 def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
@@ -109,13 +147,14 @@ def evaluate(
         raise ParameterError(f"episodes must be >= 1, got {episodes}")
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(0 if rng is None else int(rng))
+    pool = episode_pool(novel, n, k, q)
+    z = enc.encode(novel.x)
     streams = rng.spawn(episodes)
     accs: list[float] = []
     for stream in streams:
-        episode = sample_episode(novel, n, k, q, stream)
-        protos = prototypes(enc, episode.support_x, episode.support_y, n)
-        z_q = enc.encode(episode.query_x)
-        pred = np.argmax(z_q @ protos.T, axis=1)
+        episode = sample_episode(pool, n, k, q, stream)
+        protos = prototypes(z[episode.support_rows], episode.support_y, n)
+        pred = np.argmax(z[episode.query_rows] @ protos.T, axis=1)
         accs.append(float(np.mean(pred == episode.query_y)))
     per_episode = np.asarray(accs)
     mean = float(per_episode.mean())

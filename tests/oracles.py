@@ -3,7 +3,9 @@
 Everything here is written as plain double loops over python floats (with a
 max-shift for stability), deliberately sharing no code with the tensor path
 it checks. The positive and anchor sets are built one row at a time, the
-way the package built them before it used dense masks.
+way the package built them before it used dense masks, and episodic
+evaluation encodes each episode's own rows, the way it ran before it
+encoded the split once per call.
 """
 from __future__ import annotations
 
@@ -95,6 +97,40 @@ def anchor_sets_loop(labels, rng: np.random.Generator, n_pos=None, n_neg=None):
         pos_sets.append(np.sort(rng.choice(same, size=take_p, replace=False)) if take_p else same[:0])
         neg_sets.append(np.sort(rng.choice(diff, size=take_n, replace=False)) if take_n else diff[:0])
     return pos_sets, neg_sets
+
+
+def prototypes_loop(z_support: np.ndarray, support_y: np.ndarray, n: int) -> np.ndarray:
+    """Each class's support embeddings averaged in a loop, then unit rows."""
+    protos = np.zeros((n, z_support.shape[1]))
+    for pos in range(n):
+        protos[pos] = z_support[support_y == pos].mean(axis=0)
+    return protos / np.maximum(np.linalg.norm(protos, axis=-1, keepdims=True), 1e-12)
+
+
+def evaluate_loop(enc, novel, n: int, k: int, q: int, episodes: int, seed: int) -> list[float]:
+    """Per-episode accuracies, one episode at a time: the same draws as
+    ``evaluate`` (one spawned generator per episode, classes then rows),
+    then encode that episode's support and query rows and average each
+    class's support embeddings in a loop."""
+    classes = np.unique(novel.y)
+    eligible = np.array([c for c in classes if len(np.flatnonzero(novel.y == c)) >= k + q])
+    accs = []
+    for rng in np.random.default_rng(seed).spawn(episodes):
+        chosen = rng.choice(eligible, size=n, replace=False)
+        support_x, support_y, query_x, query_y = [], [], [], []
+        for pos, c in enumerate(chosen):
+            picked = rng.choice(np.flatnonzero(novel.y == c), size=k + q, replace=False)
+            support_x.append(novel.x[picked[:k]])
+            query_x.append(novel.x[picked[k:]])
+            support_y.append(np.full(k, pos))
+            query_y.append(np.full(q, pos))
+        support_y, query_y = np.concatenate(support_y), np.concatenate(query_y)
+        protos = prototypes_loop(enc.encode(np.concatenate(support_x).astype(np.float64)),
+                                 support_y, n)
+        z_q = enc.encode(np.concatenate(query_x).astype(np.float64))
+        pred = np.argmax(z_q @ protos.T, axis=1)
+        accs.append(float(np.mean(pred == query_y)))
+    return accs
 
 
 def softmax_py(values, tau: float = 1.0):

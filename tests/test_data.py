@@ -1,9 +1,13 @@
 """Synthetic generator determinism, file format, validation."""
 from __future__ import annotations
 
+import builtins
+import os
+
 import numpy as np
 import pytest
 
+import pal.data
 from pal.data import (
     Split,
     SyntheticSpec,
@@ -11,6 +15,7 @@ from pal.data import (
     load_dataset,
     save_dataset,
 )
+from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
 from pal.exceptions import FormatError, ParameterError
 
 SMALL = SyntheticSpec(
@@ -102,3 +107,66 @@ def test_out_of_range_label_names_row(tmp_path):
     save_dataset(Split(x, y, label_width=2), path)
     with pytest.raises(FormatError, match="label 9 at row 1"):
         load_dataset(path)
+
+
+def test_non_finite_row_rejected(tmp_path):
+    x = np.zeros((4, 3), dtype=np.float32)
+    x[2, 1] = np.nan
+    x[3, 0] = np.inf
+    path = tmp_path / "nan.pald"
+    save_dataset(Split(x, np.zeros(4, dtype=np.int32), label_width=1), path)
+    with pytest.raises(FormatError, match=r"nan\.pald: non-finite feature value at row 2"):
+        load_dataset(path)
+
+
+class FullDisk:
+    """A file that takes ``budget`` bytes, then writes what still fits and
+    raises, as a write does when the disk fills up."""
+
+    def __init__(self, fh, budget: int):
+        self.fh = fh
+        self.budget = budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            raise OSError(28, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+
+def _encoder_writer(seed):
+    enc = Encoder(EncoderConfig(input_dim=32, hidden_dims=(64, 64), embed_dim=32, seed=seed))
+    return lambda path: save_encoder(enc, path)
+
+
+def _dataset_writer(seed):
+    split = generate_synthetic(SyntheticSpec(**{**SMALL.__dict__, "seed": seed})).base
+    return lambda path: save_dataset(split, path)
+
+
+@pytest.mark.parametrize("writer,reader", [(_encoder_writer, load_encoder),
+                                           (_dataset_writer, load_dataset)])
+def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch, writer, reader):
+    path = tmp_path / "file.bin"
+    writer(1)(path)
+    old = path.read_bytes()
+    budget = len(old) // 2
+    monkeypatch.setattr(pal.data, "open",
+                        lambda file, mode: FullDisk(builtins.open(file, mode), budget),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        writer(2)(path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["file.bin"]
+    monkeypatch.undo()
+    reader(path)
+    writer(2)(path)
+    assert path.read_bytes() != old and len(path.read_bytes()) == len(old)

@@ -9,6 +9,8 @@ from pal.encoders import Encoder, EncoderConfig
 from pal.episodes import classify_query, evaluate, prototypes, sample_episode
 from pal.exceptions import CapacityError, ContractError, ParameterError
 
+from oracles import evaluate_loop, prototypes_loop
+
 
 class IdentityEncoder:
     """Unit-normalizes raw rows; stands in for a trained encoder."""
@@ -27,6 +29,32 @@ def one_hot_split(n_classes: int, per_class: int, dim: int) -> Split:
         x.append(rows)
         y.append(np.full(per_class, c, dtype=np.int32))
     return Split(np.concatenate(x), np.concatenate(y), label_width=n_classes)
+
+
+class CountingEncoder:
+    """Forwards to an encoder and counts its ``encode`` calls and rows."""
+
+    def __init__(self, enc):
+        self.enc = enc
+        self.calls = 0
+        self.rows = 0
+
+    def encode(self, x):
+        self.calls += 1
+        self.rows += len(x)
+        return self.enc.encode(x)
+
+
+def uneven_split(sizes, dim: int = 10, seed: int = 0) -> Split:
+    """Classes of the given sizes with sparse, out-of-order ids, their rows
+    shuffled together so no class occupies a contiguous block."""
+    rng = np.random.default_rng(seed)
+    ids = 3 + 2 * np.arange(len(sizes))[::-1]
+    y = np.repeat(ids, sizes).astype(np.int32)
+    centers = rng.normal(size=(len(sizes), dim))
+    x = np.repeat(centers, sizes, axis=0) + 2.0 * rng.normal(size=(len(y), dim))
+    order = rng.permutation(len(y))
+    return Split(x[order].astype(np.float32), y[order], label_width=int(ids.max()) + 1)
 
 
 @pytest.fixture(scope="module")
@@ -75,27 +103,36 @@ def test_episode_capacity_error_names_shortfall(novel):
 def test_prototype_k1_is_support_embedding():
     enc = IdentityEncoder()
     sup = np.array([[3.0, 4.0]])
-    protos = prototypes(enc, sup, np.array([0]), n=1)
+    protos = prototypes(enc.encode(sup), np.array([0]), n=1)
     np.testing.assert_allclose(protos[0], [0.6, 0.8], atol=1e-12)
 
 
 def test_prototype_antipodal_supports_degenerate_to_zero():
     enc = IdentityEncoder()
     sup = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    protos = prototypes(enc, sup, np.array([0, 0]), n=1)
+    protos = prototypes(enc.encode(sup), np.array([0, 0]), n=1)
     np.testing.assert_array_equal(protos[0], [0.0, 0.0])
 
 
 def test_prototype_two_orthogonal_supports():
     enc = IdentityEncoder()
     sup = np.array([[1.0, 0.0], [0.0, 1.0]])
-    protos = prototypes(enc, sup, np.array([0, 0]), n=1)
+    protos = prototypes(enc.encode(sup), np.array([0, 0]), n=1)
     np.testing.assert_allclose(protos[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_prototype_empty_class_contract():
     with pytest.raises(ContractError):
-        prototypes(IdentityEncoder(), np.array([[1.0, 0.0]]), np.array([0]), n=2)
+        prototypes(IdentityEncoder().encode(np.array([[1.0, 0.0]])), np.array([0]), n=2)
+
+
+def test_prototypes_match_class_loop_exactly():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, k, d = rng.integers(1, 9), rng.integers(1, 12), rng.integers(2, 40)
+        z = rng.normal(size=(n * k, d))
+        y = np.repeat(np.arange(n), k)
+        np.testing.assert_array_equal(prototypes(z, y, n), prototypes_loop(z, y, n))
 
 
 def test_classify_query_self_match():
@@ -187,8 +224,37 @@ def test_prototype_converges_toward_class_mean(novel):
         dists = []
         for _ in range(100):
             ep = sample_episode(novel, n=3, k=k, q=1, rng=rng)
-            protos = prototypes(enc, ep.support_x, ep.support_y, n=3)
+            protos = prototypes(enc.encode(ep.support_x), ep.support_y, n=3)
             for pos, c in enumerate(ep.classes):
                 dists.append(np.linalg.norm(protos[pos] - full_means[int(c)]))
         avg_dist.append(np.mean(dists))
     assert avg_dist[0] >= avg_dist[1] >= avg_dist[2]
+
+
+@pytest.mark.parametrize("n,k,q", [(2, 1, 3), (3, 5, 4), (4, 2, 6), (5, 1, 1), (2, 5, 10)])
+def test_evaluate_matches_per_episode_loop(n, k, q):
+    # Classes of 7 and 9 rows are too small for some (k, q); the rest vary.
+    split = uneven_split([30, 7, 25, 12, 40, 9, 18])
+    enc = Encoder(EncoderConfig(input_dim=split.dim, hidden_dims=(16,), embed_dim=8, seed=2))
+    for seed in (0, 7, 20260808):
+        report = evaluate(enc, split, n=n, k=k, q=q, episodes=12, rng=seed)
+        assert report.per_episode == evaluate_loop(enc, split, n, k, q, 12, seed)
+
+
+def test_evaluate_encodes_the_split_once():
+    split = uneven_split([30, 7, 25, 12, 40])
+    enc = CountingEncoder(
+        Encoder(EncoderConfig(input_dim=split.dim, hidden_dims=(16,), embed_dim=8, seed=0))
+    )
+    evaluate(enc, split, n=3, k=2, q=5, episodes=40, rng=1)
+    assert (enc.calls, enc.rows) == (1, len(split.y))
+
+
+def test_evaluate_rejects_before_encoding():
+    split = uneven_split([30, 7, 25, 12, 40])
+    enc = CountingEncoder(IdentityEncoder())
+    with pytest.raises(CapacityError, match="only 2 of 5"):
+        evaluate(enc, split, n=3, k=5, q=21, episodes=10, rng=0)
+    with pytest.raises(ParameterError):
+        evaluate(enc, split, n=3, k=0, q=5, episodes=10, rng=0)
+    assert enc.calls == 0

@@ -1,8 +1,8 @@
 """Golden digests: the bytes every training entry point writes at a tiny
-config.
+config, and the episode accuracies of the trained encoders.
 
-``golden/digests.json`` maps each checkpoint and metrics CSV (path relative
-to the output root) to its SHA-256. A refactor of the training code must
+``golden/digests.json`` maps each checkpoint, metrics CSV and evaluation CSV
+(path relative to the output root) to its SHA-256. A refactor of the training code must
 leave every digest unchanged; a change that sets out to alter numerics
 regenerates only the affected entries and says why in CHANGES.md::
 
@@ -22,7 +22,8 @@ from pathlib import Path
 from pal.batching import AugmentConfig
 from pal.data import SyntheticSpec, generate_synthetic
 from pal.encoders import load_encoder
-from pal.training import TrainConfig, Variant, train_main, train_partner, train_variant
+from pal.episodes import evaluate
+from pal.training import TrainConfig, Variant, eval_seed, train_main, train_partner, train_variant
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 SPEC = SyntheticSpec(
@@ -46,16 +47,28 @@ CAPS = {"uncapped": {}, "capped": dict(n_pos=1, n_neg=2)}
 # The two-step CLI path: ``pal train-partner``, then ``pal train-main`` on the
 # reloaded, frozen partner checkpoint (no partner for CE_only).
 CLI_VARIANTS = (Variant.PAL, Variant.PARTNER_CT, Variant.CE_ONLY)
+# 2-way evaluation of every uncapped variant's encoder on the novel split.
+EVAL_SHOTS = (1, 5)
+EVAL_QUERIES = 5
+EVAL_EPISODES = 20
 
 
 def produce(out: Path) -> dict[str, str]:
     """Write every golden output under ``out`` and return their digests."""
-    base = generate_synthetic(SPEC).base
+    dataset = generate_synthetic(SPEC)
+    base = dataset.base
     for cap, fields in CAPS.items():
         for variant in Variant:
             cfg = replace(CFG, variant=variant, **fields)
             run_dir = out / cap / variant.value
-            train_variant(base, cfg, aug=AUG, out_dir=run_dir, classifier_scale=SCALE, **NET)
+            result = train_variant(base, cfg, aug=AUG, out_dir=run_dir, classifier_scale=SCALE,
+                                   **NET)
+            if cap != "uncapped":
+                continue
+            for k in EVAL_SHOTS:
+                report = evaluate(result.encoder, dataset.novel, n=2, k=k, q=EVAL_QUERIES,
+                                  episodes=EVAL_EPISODES, rng=eval_seed(cfg))
+                report.to_csv(run_dir / f"eval_2way_{k}shot.csv")
     for variant in CLI_VARIANTS:
         cfg = replace(CFG, variant=variant)
         run_dir = out / "cli" / variant.value
