@@ -24,7 +24,7 @@ from .exceptions import (
     ParameterError,
     ShapeError,
 )
-from .training import TrainConfig, Variant, train_main, train_partner, train_variant
+from .training import NetConfig, TrainConfig, Variant, train_main, train_partner, train_variant
 
 __all__ = [
     "__version__",
@@ -48,6 +48,7 @@ __all__ = [
     "sample_episode",
     "PALRepresentation",
     "PrototypeClassifier",
+    "NetConfig",
     "TrainConfig",
     "Variant",
     "train_partner",

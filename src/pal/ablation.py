@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .batching import AugmentConfig
-from .data import load_dataset
+from .data import atomic_write, load_dataset
 from .episodes import evaluate
 from .exceptions import ParameterError
-from .training import TrainConfig, Variant, eval_seed, train_variant
+from .training import NetConfig, TrainConfig, Variant, eval_seed, train_variant
 
 TABLE_VARIANTS: dict[int, tuple[Variant, ...]] = {
     # Training schemes combining the two objective types.
@@ -67,14 +68,12 @@ class AblationRow:
     ci95_5shot: float
 
 
-def _run_one(args) -> AblationRow:
-    (base_path, novel_path, cfg, aug, scale, out_dir, n, k_values, q, episodes,
-     hidden_dims, embed_dim) = args
+def _run_one(cfg: TrainConfig, *, base_path, novel_path, aug, net, out_dir, n, k_values, q,
+             episodes) -> AblationRow:
     base = load_dataset(base_path)
     novel = load_dataset(novel_path)
     run_dir = Path(out_dir) / cfg.variant.value
-    result = train_variant(base, cfg, aug=aug, out_dir=run_dir, classifier_scale=scale,
-                           hidden_dims=hidden_dims, embed_dim=embed_dim)
+    result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net)
     reports = {}
     for k in k_values:
         reports[k] = evaluate(
@@ -98,14 +97,12 @@ def run_table(
     cfg: TrainConfig,
     aug: AugmentConfig,
     out_dir,
-    classifier_scale: float = 10.0,
+    net: NetConfig = NetConfig(),
     n: int = 5,
     k_values: tuple[int, ...] = (1, 5),
     q: int = 15,
     episodes: int = 600,
     jobs: int = 1,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
 ) -> Path:
     """Train and evaluate every variant of ``table``; write ``tableN.csv``
     and return its path. All rows share the config seed, so they are
@@ -114,31 +111,17 @@ def run_table(
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (
-            str(base_path),
-            str(novel_path),
-            replace(cfg, variant=variant),
-            aug,
-            classifier_scale,
-            str(out),
-            n,
-            tuple(k_values),
-            q,
-            episodes,
-            tuple(hidden_dims),
-            embed_dim,
-        )
-        for variant in TABLE_VARIANTS[table]
-    ]
+    run_one = partial(_run_one, base_path=base_path, novel_path=novel_path, aug=aug, net=net,
+                      out_dir=out, n=n, k_values=tuple(k_values), q=q, episodes=episodes)
+    cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_one, tasks))
+            rows = list(pool.map(run_one, cfgs))
     else:
-        rows = [_run_one(task) for task in tasks]
+        rows = list(map(run_one, cfgs))
 
     path = out / f"table{table}.csv"
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(ROW_COLUMNS)
         for row in rows:

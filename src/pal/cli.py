@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .ablation import TABLE_VARIANTS, run_table
 from .config import RunConfig, build_run_config, write_config_template
-from .data import SyntheticSpec, generate_synthetic, load_dataset
+from .data import SyntheticSpec, atomic_write, generate_synthetic, load_dataset
 from .encoders import load_encoder
 from .episodes import evaluate
 from .exceptions import PALError, ParameterError
@@ -59,14 +59,6 @@ def _resolve(args, variant: str | None = None) -> RunConfig:
         seed=args.seed,
         variant=variant,
     )
-
-
-def _check_input_dim(run: RunConfig, split) -> None:
-    if run.encoder_input_dim and run.encoder_input_dim != split.dim:
-        raise ParameterError(
-            f"[encoder] input_dim = {run.encoder_input_dim} but the data has "
-            f"{split.dim} features"
-        )
 
 
 def _load_base(run: RunConfig, flag_value):
@@ -110,15 +102,7 @@ def cmd_init_config(args) -> int:
 def cmd_train_partner(args) -> int:
     run = _resolve(args)
     base, _ = _load_base(run, args.base)
-    _check_input_dim(run, base)
-    result = train_partner(
-        base,
-        run.train,
-        aug=run.augment,
-        out_dir=args.out,
-        hidden_dims=run.encoder_hidden_dims,
-        embed_dim=run.encoder_embed_dim,
-    )
+    result = train_partner(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"wrote {result.checkpoint}")
     print(f"final partner loss: {result.metrics.rows[-1]['loss_total']:.6f}")
     return 0
@@ -128,16 +112,8 @@ def cmd_train_main(args) -> int:
     run = _resolve(args)
     base, _ = _load_base(run, args.base)
     partner = load_encoder(args.partner).freeze() if args.partner else None
-    _check_input_dim(run, base)
     result = train_main(
-        base,
-        run.train,
-        partner=partner,
-        aug=run.augment,
-        out_dir=args.out,
-        classifier_scale=run.classifier_scale,
-        hidden_dims=run.encoder_hidden_dims,
-        embed_dim=run.encoder_embed_dim,
+        base, run.train, partner=partner, aug=run.augment, out_dir=args.out, net=run.net
     )
     print(f"wrote {result.encoder_checkpoint}")
     if result.classifier_checkpoint:
@@ -149,13 +125,7 @@ def cmd_train_main(args) -> int:
 def cmd_train_variant(args) -> int:
     run = _resolve(args, variant=args.variant)
     base, _ = _load_base(run, args.base)
-    _check_input_dim(run, base)
-    result = train_variant(
-        base, run.train, aug=run.augment, out_dir=args.out,
-        classifier_scale=run.classifier_scale,
-        hidden_dims=run.encoder_hidden_dims,
-        embed_dim=run.encoder_embed_dim,
-    )
+    result = train_variant(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"variant {result.variant.value}: wrote {result.encoder_checkpoint}")
     return 0
 
@@ -177,9 +147,8 @@ def cmd_eval_episodes(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = _resolve(args)
-    base, base_path = _load_base(run, args.base)
-    novel, novel_path = _load_novel(run, args.data)
-    _check_input_dim(run, base)
+    _, base_path = _load_base(run, args.base)
+    _, novel_path = _load_novel(run, args.data)
     path = run_table(
         table=args.table,
         base_path=base_path,
@@ -187,12 +156,10 @@ def cmd_ablate(args) -> int:
         cfg=run.train,
         aug=run.augment,
         out_dir=args.out,
-        classifier_scale=run.classifier_scale,
+        net=run.net,
         episodes=args.episodes,
         q=args.q,
         jobs=args.jobs,
-        hidden_dims=run.encoder_hidden_dims,
-        embed_dim=run.encoder_embed_dim,
     )
     print(f"wrote {path}")
     for line in Path(path).read_text().splitlines():
@@ -204,7 +171,7 @@ def cmd_dump_embeddings(args) -> int:
     encoder = load_encoder(args.checkpoint)
     split = load_dataset(args.data)
     z = encoder.encode(split.x.astype(np.float64))
-    with open(args.out_file, "w", newline="") as fh:
+    with atomic_write(args.out_file, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "label", *(f"e{i}" for i in range(z.shape[1]))])
         for i, (label, row) in enumerate(zip(split.y, z)):

@@ -6,17 +6,24 @@ Unknown sections or keys are errors, so typos fail fast. Files may omit any
 key; omitted keys take the desk-scale defaults below. CLI flags override
 file values, and the ``PAL_SEED`` environment variable overrides the seed
 from either source.
+
+The ``[encoder]``, ``[augment]`` and ``[train]`` keys are the fields of
+``NetConfig``, ``AugmentConfig`` and ``TrainConfig``: the schema and the
+template are read off the dataclasses, each value parsed and written by the
+entry of ``_FORMATS`` for its field's annotation, so a new field is a new
+key. Only ``[data]`` is listed here.
 """
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .batching import AugmentConfig
+from .data import atomic_write
 from .exceptions import ParameterError
-from .training import TrainConfig
+from .training import NetConfig, TrainConfig, Variant
 
 SEED_ENV_VAR = "PAL_SEED"
 
@@ -39,17 +46,13 @@ DESK_TRAIN = dict(
     momentum=0.9,
 )
 DESK_AUGMENT = dict(noise_sigma=0.75, mask_prob=0.1)  # noise = default margin / 4
-DESK_ENCODER = dict(input_dim=0, hidden_dims=(64, 64), embed_dim=32, scale=10.0)
 
 
 @dataclass
 class RunConfig:
     base_path: str = ""
     novel_path: str = ""
-    encoder_hidden_dims: tuple[int, ...] = (64, 64)
-    encoder_embed_dim: int = 32
-    encoder_input_dim: int = 0  # 0 = infer from the data file
-    classifier_scale: float = 10.0
+    net: NetConfig = field(default_factory=NetConfig)
     augment: AugmentConfig = field(default_factory=lambda: AugmentConfig(**DESK_AUGMENT))
     train: TrainConfig = field(default_factory=lambda: TrainConfig(**DESK_TRAIN))
 
@@ -76,33 +79,39 @@ def _parse_optional_float(text: str):
     return float(text)
 
 
+# (parse, write) for a config value, by the annotation of its field.
+_FORMATS = {
+    int: (int, str),
+    float: (float, str),
+    Variant: (Variant.parse, lambda v: v.value),
+    tuple[int, ...]: (_parse_hidden_dims, lambda dims: ",".join(map(str, dims))),
+    int | None: (_parse_optional_int, lambda v: "all" if v is None else str(v)),
+    float | None: (_parse_optional_float, lambda v: "none" if v is None else str(v)),
+}
+# Config-file section -> the RunConfig field holding it.
+_SECTIONS = {"encoder": "net", "augment": "augment", "train": "train"}
+
+
+def _keys(cls) -> dict:
+    """``key -> (parse, write)`` for every field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: _FORMATS[hints[f.name]] for f in fields(cls)}
+
+
+_KEYS = {s: _keys(get_type_hints(RunConfig)[attr]) for s, attr in _SECTIONS.items()}
 _SCHEMA = {
     "data": {"base": str, "novel": str},
-    "encoder": {
-        "input_dim": int,
-        "hidden_dims": _parse_hidden_dims,
-        "embed_dim": int,
-        "scale": float,
-    },
-    "augment": {"noise_sigma": float, "mask_prob": float},
-    "train": {
-        "epochs": int,
-        "lr": float,
-        "lr_decay_factor": float,
-        "lr_decay_epoch": int,
-        "batch_size": int,
-        "tau": float,
-        "kl_tau": _parse_optional_float,
-        "logit_tau": _parse_optional_float,
-        "warmup_epochs": int,
-        "seed": int,
-        "variant": str,
-        "weight_decay": float,
-        "momentum": float,
-        "n_pos": _parse_optional_int,
-        "n_neg": _parse_optional_int,
-    },
+    **{s: {key: parse for key, (parse, _) in keys.items()} for s, keys in _KEYS.items()},
 }
+
+
+def _parse_value(section: str, key: str, raw: str, where: str):
+    try:
+        return _SCHEMA[section][key](raw)
+    except ParameterError:
+        raise
+    except ValueError:
+        raise ParameterError(f"{where}: bad value {raw!r} for {key} in [{section}]") from None
 
 
 def parse_config_file(path) -> dict[str, dict]:
@@ -125,15 +134,7 @@ def parse_config_file(path) -> dict[str, dict]:
                     f"{path}: unknown key {key!r} in [{section}]; "
                     f"expected {sorted(_SCHEMA[section])}"
                 )
-            caster = _SCHEMA[section][key]
-            try:
-                values[section][key] = caster(raw)
-            except ParameterError:
-                raise
-            except ValueError:
-                raise ParameterError(
-                    f"{path}: bad value {raw!r} for {key} in [{section}]"
-                ) from None
+            values[section][key] = _parse_value(section, key, raw, str(path))
     return values
 
 
@@ -147,13 +148,7 @@ def parse_overrides(pairs: list[str]) -> dict[str, dict]:
         section, key = target.split(".", 1)
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ParameterError(f"override {pair!r} names no known config key")
-        caster = _SCHEMA[section][key]
-        try:
-            values.setdefault(section, {})[key] = caster(raw)
-        except ParameterError:
-            raise
-        except ValueError:
-            raise ParameterError(f"override {pair!r}: bad value {raw!r}") from None
+        values.setdefault(section, {})[key] = _parse_value(section, key, raw, f"override {pair!r}")
     return values
 
 
@@ -185,57 +180,27 @@ def build_run_config(
                 f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
             ) from None
 
-    train_kwargs = {**DESK_TRAIN, **merged["train"]}
-    train = TrainConfig(**train_kwargs)
-    augment = AugmentConfig(**{**DESK_AUGMENT, **merged["augment"]})
-    enc = {**DESK_ENCODER, **merged["encoder"]}
     return RunConfig(
         base_path=merged["data"].get("base", ""),
         novel_path=merged["data"].get("novel", ""),
-        encoder_hidden_dims=tuple(enc["hidden_dims"]),
-        encoder_embed_dim=int(enc["embed_dim"]),
-        encoder_input_dim=int(enc["input_dim"]),
-        classifier_scale=float(enc["scale"]),
-        augment=augment,
-        train=train,
+        net=NetConfig(**merged["encoder"]),
+        augment=AugmentConfig(**{**DESK_AUGMENT, **merged["augment"]}),
+        train=TrainConfig(**{**DESK_TRAIN, **merged["train"]}),
     )
 
 
 def write_config_template(path, run: RunConfig | None = None) -> None:
     """Write a complete config file with every supported key spelled out."""
     run = run or RunConfig()
-    t = run.train
     lines = [
         "[data]",
         f"base = {run.base_path or 'data/base.pald'}",
         f"novel = {run.novel_path or 'data/novel.pald'}",
-        "",
-        "[encoder]",
-        f"input_dim = {run.encoder_input_dim}",
-        f"hidden_dims = {','.join(str(h) for h in run.encoder_hidden_dims)}",
-        f"embed_dim = {run.encoder_embed_dim}",
-        f"scale = {run.classifier_scale}",
-        "",
-        "[augment]",
-        f"noise_sigma = {run.augment.noise_sigma}",
-        f"mask_prob = {run.augment.mask_prob}",
-        "",
-        "[train]",
-        f"epochs = {t.epochs}",
-        f"lr = {t.lr}",
-        f"lr_decay_factor = {t.lr_decay_factor}",
-        f"lr_decay_epoch = {t.lr_decay_epoch}",
-        f"batch_size = {t.batch_size}",
-        f"tau = {t.tau}",
-        f"kl_tau = {'none' if t.kl_tau is None else t.kl_tau}",
-        f"logit_tau = {'none' if t.logit_tau is None else t.logit_tau}",
-        f"warmup_epochs = {t.warmup_epochs}",
-        f"seed = {t.seed}",
-        f"variant = {t.variant.value}",
-        f"weight_decay = {t.weight_decay}",
-        f"momentum = {t.momentum}",
-        f"n_pos = {'all' if t.n_pos is None else t.n_pos}",
-        f"n_neg = {'all' if t.n_neg is None else t.n_neg}",
-        "",
     ]
-    Path(path).write_text("\n".join(lines))
+    for section, attr in _SECTIONS.items():
+        values = getattr(run, attr)
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {write(getattr(values, key))}"
+                  for key, (_, write) in _KEYS[section].items()]
+    with atomic_write(path, text=True) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -21,8 +21,9 @@ Dataset file format (little-endian)::
 file; base and novel files of one benchmark share it, keeping the id ranges
 globally disjoint.
 
-Dataset and checkpoint files are written through :func:`atomic_write`, so a
-file on disk is either complete or absent (or still the old complete file).
+Every file the package writes (datasets, checkpoints, CSVs, config
+templates) goes through :func:`atomic_write`, so a file on disk is either
+complete or absent (or still the old complete file).
 """
 from __future__ import annotations
 
@@ -232,14 +233,14 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Binary file handle on a temporary file beside ``path``. On success it
-    replaces ``path`` in one step; on failure it is removed and ``path`` is
-    left as it was."""
+def atomic_write(path, text: bool = False):
+    """Binary (or, with ``text``, untranslated-newline text) file handle on a
+    temporary file beside ``path``. On success it replaces ``path`` in one
+    step; on failure it is removed and ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w", newline="") if text else open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

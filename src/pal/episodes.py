@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import l2_normalize
-from .data import Split
+from .data import Split, atomic_write
 from .exceptions import CapacityError, ContractError, ParameterError
 
 
@@ -82,7 +82,7 @@ class EvalReport:
         return f"{self.mean_accuracy:.4f} ± {self.ci95:.4f}"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
             writer.writerow(["episode_id", "accuracy"])
             for i, acc in enumerate(self.per_episode):

@@ -15,7 +15,7 @@ import numpy as np
 from .batching import AugmentConfig
 from .data import Split
 from .exceptions import ParameterError
-from .training import TrainConfig, Variant, train_variant
+from .training import NetConfig, TrainConfig, Variant, train_variant
 from .validation import check_fitted, check_labels, check_matrix
 
 
@@ -122,10 +122,7 @@ class PALRepresentation(BaseEstimator):
             label_width=int(y.max()) + 1,
         )
         result = train_variant(
-            split,
-            cfg,
-            aug=self.augment_config,
-            classifier_scale=self.classifier_scale,
+            split, cfg, aug=self.augment_config, net=NetConfig(scale=self.classifier_scale)
         )
         self.encoder_ = result.encoder
         self.partner_ = result.partner

@@ -7,6 +7,13 @@ partner. ``train_variant`` runs the full grid of alternatives:
 single-objective baselines, multi-task, mutual learning, the reversed
 integration order, and partners trained under other objectives.
 
+A run is fixed by its ``TrainConfig`` (objective and schedule), its
+``AugmentConfig``, its ``NetConfig`` and its data. ``NetConfig`` is the
+network shape every stage shares: the encoder's hidden and embedding widths,
+the cosine classifier's scale and, optionally, the input width the data must
+have. The trainers take it as one ``net=`` argument and build every encoder
+and classifier through it.
+
 Every stage runs on one engine. A stage is its models plus a per-batch
 ``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
 data-order seed stream, batching, the optimizer step under the lr schedule
@@ -36,7 +43,7 @@ import numpy as np
 
 from .batching import AugmentConfig, build_batch, sample_anchor_sets
 from .core import Tensor, backward, scale, softmax_temperature
-from .data import Split
+from .data import Split, atomic_write
 from .encoders import (
     CosineClassifier,
     Encoder,
@@ -119,6 +126,10 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.weight_decay < 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.momentum < 1:
+            raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
         for name in ("kl_tau", "logit_tau"):
@@ -139,6 +150,32 @@ class TrainConfig:
         """Temperature applied to the partner's logits when forming the
         logit-alignment soft label; the contrastive tau by default."""
         return self.tau if self.logit_tau is None else self.logit_tau
+
+
+@dataclass(frozen=True)
+class NetConfig:
+    """The network shape of a run; its fields are the ``[encoder]`` keys of
+    a config file. ``input_dim`` 0 takes the width from the data."""
+
+    input_dim: int = 0
+    hidden_dims: tuple[int, ...] = (64, 64)
+    embed_dim: int = 32
+    scale: float = 10.0  # cosine-classifier logit scale
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if not self.scale > 0:
+            raise ParameterError(f"scale must be positive, got {self.scale}")
+
+    def encoder(self, input_dim: int, seed: int) -> Encoder:
+        if self.input_dim and self.input_dim != input_dim:
+            raise ParameterError(
+                f"[encoder] input_dim = {self.input_dim} but the data has {input_dim} features"
+            )
+        return Encoder(EncoderConfig(input_dim, self.hidden_dims, self.embed_dim, seed))
+
+    def classifier(self, n_classes: int, seed: int) -> CosineClassifier:
+        return CosineClassifier(n_classes, self.embed_dim, self.scale, seed)
 
 
 class WarmupSchedule:
@@ -223,7 +260,7 @@ class MetricsLogger:
         self.rows.append(row)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, text=True) as fh:
             writer = csv.writer(fh)
             writer.writerow(METRIC_COLUMNS)
             for row in self.rows:
@@ -272,17 +309,6 @@ def _stage1_seed(cfg: TrainConfig) -> int:
     """Seed for a variant's internal pre-training stage, distinct from the
     stage-two streams."""
     return _seed_int(_seed_streams(cfg)["partner_init"])
-
-
-def default_encoder_config(
-    input_dim: int,
-    seed: int,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
-) -> EncoderConfig:
-    return EncoderConfig(
-        input_dim=input_dim, hidden_dims=hidden_dims, embed_dim=embed_dim, seed=seed
-    )
 
 
 def _iter_batches(
@@ -396,8 +422,7 @@ def train_partner(
     cfg: TrainConfig,
     aug: AugmentConfig | None = None,
     out_dir=None,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
+    net: NetConfig = NetConfig(),
 ) -> PartnerResult:
     """Stage one: contrastive training of the partner encoder, under the
     unsupervised CT objective for the ``Partner_CT`` row and SupCT
@@ -407,8 +432,7 @@ def train_partner(
             "train_partner: single-class data; every batch is all-positive and "
             "the contrastive objective is degenerate"
         )
-    seed = _seed_int(_seed_streams(cfg)["partner_init"])
-    enc = Encoder(default_encoder_config(base.dim, seed, hidden_dims, embed_dim))
+    enc = net.encoder(base.dim, _seed_int(_seed_streams(cfg)["partner_init"]))
 
     def loss_fn(batch, w):
         z = enc.embed(batch.inputs)
@@ -461,9 +485,7 @@ def train_main(
     partner: Encoder | None = None,
     aug: AugmentConfig | None = None,
     out_dir=None,
-    classifier_scale: float = 10.0,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
+    net: NetConfig = NetConfig(),
 ) -> MainResult:
     """Stage two: train the main encoder (and classifier) under
     ``L = L_CE + L_feat + w(epoch) * L_align`` per the active variant."""
@@ -477,18 +499,11 @@ def train_main(
             raise ContractError("the partner encoder must be frozen before main training")
 
     streams = _seed_streams(cfg)
-    enc = Encoder(
-        default_encoder_config(base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim)
-    )
+    enc = net.encoder(base.dim, _seed_int(streams["main_init"]))
     class_list = np.sort(base.classes)
     clf = None
     if flags.use_ce:
-        clf = CosineClassifier(
-            n_classes=len(class_list),
-            embed_dim=embed_dim,
-            scale=classifier_scale,
-            seed=_seed_int(streams["classifier_init"]),
-        )
+        clf = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
     anchor_rng = np.random.default_rng(streams["anchors"])
 
     def loss_fn(batch, w):
@@ -543,32 +558,18 @@ def train_main(
 
 
 def _train_mutual(
-    base: Split,
-    cfg: TrainConfig,
-    aug: AugmentConfig | None,
-    out_dir,
-    classifier_scale: float,
-    hidden_dims: tuple[int, ...],
-    embed_dim: int,
+    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, out_dir, net: NetConfig
 ) -> VariantResult:
     """Joint training of two peers from scratch: one under the contrastive
     objective, one under cross-entropy, aligned through symmetric KL on
     their plain class-probability outputs (mutual-learning convention:
     temperature 1); the cross-entropy model is evaluated."""
     streams = _seed_streams(cfg)
-    enc_a = Encoder(
-        default_encoder_config(base.dim, _seed_int(streams["partner_init"]), hidden_dims, embed_dim)
-    )
-    enc_b = Encoder(
-        default_encoder_config(base.dim, _seed_int(streams["main_init"]), hidden_dims, embed_dim)
-    )
+    enc_a = net.encoder(base.dim, _seed_int(streams["partner_init"]))
+    enc_b = net.encoder(base.dim, _seed_int(streams["main_init"]))
     class_list = np.sort(base.classes)
-    clf_a = CosineClassifier(
-        len(class_list), embed_dim, classifier_scale, seed=_seed_int(streams["second_init"])
-    )
-    clf_b = CosineClassifier(
-        len(class_list), embed_dim, classifier_scale, seed=_seed_int(streams["classifier_init"])
-    )
+    clf_a = net.classifier(len(class_list), _seed_int(streams["second_init"]))
+    clf_b = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
 
     def loss_fn(batch, w):
         per = 1.0 / batch.size
@@ -617,21 +618,17 @@ def train_variant(
     cfg: TrainConfig,
     aug: AugmentConfig | None = None,
     out_dir=None,
-    classifier_scale: float = 10.0,
-    hidden_dims: tuple[int, ...] = (64, 64),
-    embed_dim: int = 32,
+    net: NetConfig = NetConfig(),
 ) -> VariantResult:
     """Run the full training scheme selected by ``cfg.variant`` and return
     the encoder to be evaluated plus everything trained along the way."""
     variant = cfg.variant
-    net = dict(hidden_dims=tuple(hidden_dims), embed_dim=embed_dim)
-
     if variant == Variant.MUTUAL:
-        return _train_mutual(base, cfg, aug, out_dir, classifier_scale, **net)
+        return _train_mutual(base, cfg, aug, out_dir, net)
 
     if variant == Variant.SUPCT_ONLY:
         # The contrastive partner stage alone is the evaluated network.
-        part = train_partner(base, cfg, aug=aug, **net)
+        part = train_partner(base, cfg, aug=aug, net=net)
         enc_path, _ = _save(out_dir, "main", part.encoder, metrics=part.metrics)
         return VariantResult(
             variant=variant,
@@ -649,15 +646,14 @@ def train_variant(
             # A cross-entropy partner, trained under its own derived seed so
             # the two networks share neither init nor batch order.
             ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
-            stage1 = train_main(base, ce_cfg, aug=aug, classifier_scale=classifier_scale, **net)
+            stage1 = train_main(base, ce_cfg, aug=aug, net=net)
         else:
-            stage1 = train_partner(base, cfg, aug=aug, **net)
+            stage1 = train_partner(base, cfg, aug=aug, net=net)
         partner = stage1.encoder.freeze()
         metrics["partner"] = stage1.metrics
         partner_path, _ = _save(out_dir, "partner", partner, metrics=stage1.metrics)
 
-    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir,
-                      classifier_scale=classifier_scale, **net)
+    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
     metrics["main"] = main.metrics
     return VariantResult(
         variant=variant,

@@ -139,6 +139,16 @@ def test_encoder_config_reaches_training(data_dir, tmp_path):
     assert code == 1  # declared input_dim contradicts the data
 
 
+def test_bad_classifier_scale_fails_before_training(data_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    code = main(["train-variant", "--variant", "PAL",
+                 "--base", str(data_dir / "base.pald"), "--out", str(run),
+                 "--set", "encoder.scale=0", *TRAIN_TINY])
+    assert code == 1
+    assert "scale must be positive" in capsys.readouterr().err
+    assert not run.exists() or not any(run.iterdir())
+
+
 def test_ablate_table3_scheme_list(data_dir, tmp_path):
     out = tmp_path / "grid3"
     assert main(["ablate", "--table", "3", "--seed", "7",

@@ -1,19 +1,22 @@
 """Config file parsing, overrides, environment seed."""
 from __future__ import annotations
 
-from dataclasses import replace
+import configparser
+from dataclasses import fields, replace
 
 import pytest
 
+from pal.batching import AugmentConfig
 from pal.config import (
     SEED_ENV_VAR,
+    RunConfig,
     build_run_config,
     parse_config_file,
     parse_overrides,
     write_config_template,
 )
 from pal.exceptions import ParameterError
-from pal.training import Variant
+from pal.training import NetConfig, TrainConfig, Variant
 
 
 CONFIG_TEXT = """\
@@ -51,8 +54,8 @@ def config_file(tmp_path):
 def test_parse_and_build(config_file):
     run = build_run_config(config_path=config_file, env={})
     assert run.base_path == "data/base.pald"
-    assert run.encoder_hidden_dims == (32, 32)
-    assert run.encoder_embed_dim == 16
+    assert run.net.hidden_dims == (32, 32)
+    assert run.net.embed_dim == 16
     assert run.augment.noise_sigma == 0.5
     t = run.train
     assert (t.epochs, t.lr, t.seed) == (12, 0.01, 42)
@@ -122,6 +125,21 @@ def test_desk_defaults_without_file():
     assert run.train.variant is Variant.PAL
 
 
+# Every field of every config dataclass away from its default.
+NON_DEFAULT = RunConfig(
+    base_path="b.pald",
+    novel_path="n.pald",
+    net=NetConfig(input_dim=12, hidden_dims=(16, 8), embed_dim=6, scale=4.0),
+    augment=AugmentConfig(noise_sigma=0.2, mask_prob=0.3),
+    train=TrainConfig(
+        epochs=7, lr=0.2, lr_decay_factor=5.0, lr_decay_epoch=3, batch_size=9, tau=0.3,
+        kl_tau=0.2, logit_tau=0.7, warmup_epochs=2, seed=5, variant="Mutual",
+        weight_decay=0.01, momentum=0.5, n_pos=3, n_neg=4,
+    ),
+)
+SECTIONS = {"encoder": "net", "augment": "augment", "train": "train"}
+
+
 def test_template_round_trips(tmp_path):
     path = tmp_path / "template.cfg"
     write_config_template(path)
@@ -136,3 +154,20 @@ def test_template_round_trips(tmp_path):
         back = build_run_config(config_path=path, env={})
         assert (back.train.kl_tau, back.train.logit_tau) == (kl_tau, logit_tau)
         assert back.train == written.train
+    # So does every field of NetConfig, AugmentConfig and TrainConfig, through
+    # the file and through one ``--set section.field=value`` per field.
+    default = RunConfig()
+    for attr in SECTIONS.values():
+        for f in fields(getattr(default, attr)):
+            ours, theirs = getattr(NON_DEFAULT, attr), getattr(default, attr)
+            assert getattr(ours, f.name) != getattr(theirs, f.name), f"{attr}.{f.name}"
+    write_config_template(path, NON_DEFAULT)
+    assert build_run_config(config_path=path, env={}) == NON_DEFAULT
+    text = configparser.ConfigParser()
+    text.read(path)
+    overrides = [f"data.{key}={text['data'][key]}" for key in ("base", "novel")]
+    for section, attr in SECTIONS.items():
+        overrides += [f"{section}.{f.name}={text[section][f.name]}"
+                      for f in fields(getattr(NON_DEFAULT, attr))]
+    assert len(overrides) == sum(len(keys) for keys in text.values()) == 23
+    assert build_run_config(overrides=overrides, env={}) == NON_DEFAULT

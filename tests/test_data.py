@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import builtins
+import csv
 import os
 
 import numpy as np
@@ -16,7 +17,9 @@ from pal.data import (
     save_dataset,
 )
 from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
+from pal.episodes import EvalReport
 from pal.exceptions import FormatError, ParameterError
+from pal.training import MetricsLogger
 
 SMALL = SyntheticSpec(
     n_base_classes=5, n_novel_classes=3, items_per_class=12, raw_dim=16, margin=2.0, seed=3
@@ -134,7 +137,8 @@ class FullDisk:
         self.fh.close()
 
     def write(self, data):
-        data = bytes(data)
+        if not isinstance(data, str):
+            data = bytes(data)
         if len(data) > self.budget:
             self.fh.write(data[: self.budget])
             raise OSError(28, "No space left on device")
@@ -152,15 +156,35 @@ def _dataset_writer(seed):
     return lambda path: save_dataset(split, path)
 
 
+def _metrics_writer(seed):
+    metrics = MetricsLogger()
+    for step in range(40):
+        metrics.log(epoch=0, step=step, lr=0.1 * seed, loss_total=float(seed))
+    return metrics.write_csv
+
+
+def _eval_writer(seed):
+    return EvalReport(episodes=40, mean_accuracy=0.1 * seed, ci95=0.0,
+                      per_episode=[0.1 * seed] * 40).to_csv
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len({len(row) for row in rows}) == 1  # no cut-off last row
+
+
 @pytest.mark.parametrize("writer,reader", [(_encoder_writer, load_encoder),
-                                           (_dataset_writer, load_dataset)])
+                                           (_dataset_writer, load_dataset),
+                                           (_metrics_writer, _read_csv),
+                                           (_eval_writer, _read_csv)])
 def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch, writer, reader):
     path = tmp_path / "file.bin"
     writer(1)(path)
     old = path.read_bytes()
     budget = len(old) // 2
     monkeypatch.setattr(pal.data, "open",
-                        lambda file, mode: FullDisk(builtins.open(file, mode), budget),
+                        lambda file, mode, **kw: FullDisk(builtins.open(file, mode, **kw), budget),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
         writer(2)(path)

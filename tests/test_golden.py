@@ -23,7 +23,9 @@ from pal.batching import AugmentConfig
 from pal.data import SyntheticSpec, generate_synthetic
 from pal.encoders import load_encoder
 from pal.episodes import evaluate
-from pal.training import TrainConfig, Variant, eval_seed, train_main, train_partner, train_variant
+from pal.training import (
+    NetConfig, TrainConfig, Variant, eval_seed, train_main, train_partner, train_variant,
+)
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 SPEC = SyntheticSpec(
@@ -41,8 +43,7 @@ CFG = TrainConfig(
     weight_decay=5e-4,
 )
 AUG = AugmentConfig(noise_sigma=0.3, mask_prob=0.1)
-NET = dict(hidden_dims=(16,), embed_dim=8)
-SCALE = 8.0
+NET = NetConfig(hidden_dims=(16,), embed_dim=8, scale=8.0)
 CAPS = {"uncapped": {}, "capped": dict(n_pos=1, n_neg=2)}
 # The two-step CLI path: ``pal train-partner``, then ``pal train-main`` on the
 # reloaded, frozen partner checkpoint (no partner for CE_only).
@@ -61,8 +62,7 @@ def produce(out: Path) -> dict[str, str]:
         for variant in Variant:
             cfg = replace(CFG, variant=variant, **fields)
             run_dir = out / cap / variant.value
-            result = train_variant(base, cfg, aug=AUG, out_dir=run_dir, classifier_scale=SCALE,
-                                   **NET)
+            result = train_variant(base, cfg, aug=AUG, out_dir=run_dir, net=NET)
             if cap != "uncapped":
                 continue
             for k in EVAL_SHOTS:
@@ -74,10 +74,9 @@ def produce(out: Path) -> dict[str, str]:
         run_dir = out / "cli" / variant.value
         partner = None
         if variant is not Variant.CE_ONLY:
-            part = train_partner(base, cfg, aug=AUG, out_dir=run_dir, **NET)
+            part = train_partner(base, cfg, aug=AUG, out_dir=run_dir, net=NET)
             partner = load_encoder(part.checkpoint).freeze()
-        train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, classifier_scale=SCALE,
-                   **NET)
+        train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, net=NET)
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

@@ -52,7 +52,9 @@ def test_train_config_validation():
         TrainConfig(epochs=10, lr_decay_epoch=11)
     with pytest.raises(ParameterError):
         TrainConfig(variant="NotAVariant")
-    for bad in (dict(kl_tau=0.0), dict(logit_tau=-1.0), dict(n_pos=0), dict(n_neg=0)):
+    for bad in (dict(kl_tau=0.0), dict(logit_tau=-1.0), dict(n_pos=0), dict(n_neg=0),
+                dict(momentum=1.5), dict(momentum=1.0), dict(momentum=-0.1),
+                dict(weight_decay=-5.0)):
         with pytest.raises(ParameterError, match=next(iter(bad))):
             TrainConfig(**bad)
     assert TrainConfig(variant="PAL_feat_only").variant is Variant.PAL_FEAT_ONLY
@@ -253,12 +255,11 @@ def test_train_variant_mutual_both_networks_move(tiny_base):
     )
     result = train_variant(tiny_base, cfg, aug=AUG)
     # Fresh encoders with the same derived seeds reproduce the inits.
-    from pal.training import _seed_int, _seed_streams, default_encoder_config
-    from pal.encoders import Encoder
+    from pal.training import NetConfig, _seed_int, _seed_streams
 
     streams = _seed_streams(cfg)
-    init_a = Encoder(default_encoder_config(tiny_base.dim, _seed_int(streams["partner_init"])))
-    init_b = Encoder(default_encoder_config(tiny_base.dim, _seed_int(streams["main_init"])))
+    init_a = NetConfig().encoder(tiny_base.dim, _seed_int(streams["partner_init"]))
+    init_b = NetConfig().encoder(tiny_base.dim, _seed_int(streams["main_init"]))
     assert not np.allclose(result.partner.weights[0].data, init_a.weights[0].data)
     assert not np.allclose(result.encoder.weights[0].data, init_b.weights[0].data)
     assert result.classifier is not None
