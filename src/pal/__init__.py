@@ -17,6 +17,7 @@ from .estimators import PALRepresentation, PrototypeClassifier
 from .exceptions import (
     CapacityError,
     ContractError,
+    DivergenceError,
     DomainError,
     FeasibilityError,
     FormatError,
@@ -59,6 +60,7 @@ __all__ = [
     "DomainError",
     "ParameterError",
     "ContractError",
+    "DivergenceError",
     "CapacityError",
     "FormatError",
     "FeasibilityError",

@@ -68,10 +68,8 @@ class AblationRow:
     ci95_5shot: float
 
 
-def _run_one(cfg: TrainConfig, *, base_path, novel_path, aug, net, out_dir, n, k_values, q,
+def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, n, k_values, q,
              episodes) -> AblationRow:
-    base = load_dataset(base_path)
-    novel = load_dataset(novel_path)
     run_dir = Path(out_dir) / cfg.variant.value
     result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net)
     reports = {}
@@ -106,12 +104,16 @@ def run_table(
 ) -> Path:
     """Train and evaluate every variant of ``table``; write ``tableN.csv``
     and return its path. All rows share the config seed, so they are
-    directly comparable; isolation between rows is per-run state only."""
+    directly comparable; isolation between rows is per-run state only. Each
+    split is read once, before anything is written, and every row (in
+    process or in a worker) trains and evaluates on those arrays."""
     if table not in TABLE_VARIANTS:
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
+    base = load_dataset(base_path)
+    novel = load_dataset(novel_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_one = partial(_run_one, base_path=base_path, novel_path=novel_path, aug=aug, net=net,
+    run_one = partial(_run_one, base=base, novel=novel, aug=aug, net=net,
                       out_dir=out, n=n, k_values=tuple(k_values), q=q, episodes=episodes)
     cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]
     if jobs > 1:

@@ -49,9 +49,11 @@ def augment(x: np.ndarray, rng: np.random.Generator, cfg: AugmentConfig) -> np.n
     depend on the config values (sigma=0, mask_prob=0 is the identity).
     """
     x = np.asarray(x, dtype=np.float64)
-    noisy = x + cfg.noise_sigma * rng.standard_normal(x.shape)
-    keep = rng.random(x.shape) >= cfg.mask_prob
-    return noisy * keep
+    noisy = rng.standard_normal(x.shape)
+    noisy *= cfg.noise_sigma
+    noisy += x
+    noisy *= rng.random(x.shape) >= cfg.mask_prob
+    return noisy
 
 
 @dataclass
@@ -230,7 +232,8 @@ def sample_anchor_sets(
     features = partner.encode(batch.inputs)
     labels = batch.labels
     pos_mask = same_class_mask(labels)
-    neg_mask = labels[:, None] != labels[None, :]
+    neg_mask = ~pos_mask
+    np.fill_diagonal(neg_mask, False)
     if n_pos is not None or n_neg is not None:
         pos_mask, neg_mask = _draw_capped(pos_mask, neg_mask, rng, n_pos, n_neg)
     return AnchorSets(features, labels.copy(), labels.copy(), pos_mask, neg_mask)

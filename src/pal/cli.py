@@ -61,18 +61,18 @@ def _resolve(args, variant: str | None = None) -> RunConfig:
     )
 
 
-def _load_base(run: RunConfig, flag_value):
+def _base_path(run: RunConfig, flag_value):
     path = flag_value or run.base_path
     if not path:
         raise ParameterError("no base split given; pass --base or set [data] base")
-    return load_dataset(path), str(path)
+    return path
 
 
-def _load_novel(run: RunConfig, flag_value):
+def _novel_path(run: RunConfig, flag_value):
     path = flag_value or run.novel_path
     if not path:
         raise ParameterError("no novel split given; pass --data or set [data] novel")
-    return load_dataset(path), str(path)
+    return path
 
 
 def cmd_gen_data(args) -> int:
@@ -101,7 +101,7 @@ def cmd_init_config(args) -> int:
 
 def cmd_train_partner(args) -> int:
     run = _resolve(args)
-    base, _ = _load_base(run, args.base)
+    base = load_dataset(_base_path(run, args.base))
     result = train_partner(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"wrote {result.checkpoint}")
     print(f"final partner loss: {result.metrics.rows[-1]['loss_total']:.6f}")
@@ -110,7 +110,7 @@ def cmd_train_partner(args) -> int:
 
 def cmd_train_main(args) -> int:
     run = _resolve(args)
-    base, _ = _load_base(run, args.base)
+    base = load_dataset(_base_path(run, args.base))
     partner = load_encoder(args.partner).freeze() if args.partner else None
     result = train_main(
         base, run.train, partner=partner, aug=run.augment, out_dir=args.out, net=run.net
@@ -124,7 +124,7 @@ def cmd_train_main(args) -> int:
 
 def cmd_train_variant(args) -> int:
     run = _resolve(args, variant=args.variant)
-    base, _ = _load_base(run, args.base)
+    base = load_dataset(_base_path(run, args.base))
     result = train_variant(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"variant {result.variant.value}: wrote {result.encoder_checkpoint}")
     return 0
@@ -132,7 +132,7 @@ def cmd_train_variant(args) -> int:
 
 def cmd_eval_episodes(args) -> int:
     run = _resolve(args)
-    novel, _ = _load_novel(run, args.data)
+    novel = load_dataset(_novel_path(run, args.data))
     encoder = load_encoder(args.checkpoint)
     seed = args.eval_seed if args.eval_seed is not None else eval_seed(run.train)
     report = evaluate(
@@ -147,12 +147,10 @@ def cmd_eval_episodes(args) -> int:
 
 def cmd_ablate(args) -> int:
     run = _resolve(args)
-    _, base_path = _load_base(run, args.base)
-    _, novel_path = _load_novel(run, args.data)
     path = run_table(
         table=args.table,
-        base_path=base_path,
-        novel_path=novel_path,
+        base_path=_base_path(run, args.base),
+        novel_path=_novel_path(run, args.data),
         cfg=run.train,
         aug=run.augment,
         out_dir=args.out,

@@ -1,14 +1,28 @@
 """Differentiable operations over :class:`~pal.core.tensor.Tensor`.
 
-Only the primitives the encoders and losses actually need live here, each
-with a hand-written vector-Jacobian product. Reductions inherit numpy's
-pairwise summation, which keeps loss values reproducible to well below 1e-9
-on a given platform.
+The primitives here each carry a hand-written vector-Jacobian product.
+Reductions inherit numpy's pairwise summation, which keeps loss values
+reproducible to well below 1e-9 on a given platform.
+
+The training hot path does not chain these primitives: each step builds
+one fused node per encoder pass (:meth:`pal.encoders.Encoder.embed`: dense,
+bias and ReLU layers plus the L2 normalization), per cosine-logit matrix
+(:meth:`pal.encoders.CosineClassifier.logits`) and per objective
+(``pal.losses._contrastive_sum`` and
+:func:`pal.losses.soft_cross_entropy_batch`), each created with
+:func:`~pal.core.tensor.from_op`. A fused node computes exactly the float
+operations of the composite chain it replaces, in the same order, forward
+and backward; where the chain fed several gradient contributions into one
+tensor, the node lists that tensor once per contribution, so the gradients
+accumulate in the same order and the trained bytes stay the same. The
+composite chains live on in ``tests/oracles.py`` as the reference the fused
+nodes are checked against.
 
 The stability-sensitive ops (:func:`log_sum_exp`, :func:`softmax_temperature`,
 :func:`l2_normalize`) also accept plain arrays and then return plain arrays,
 so constant targets (soft labels, anchors) can reuse the exact same numerics
-without entering a graph.
+without entering a graph; :func:`lse_softmax` is the shared log-sum-exp
+kernel.
 """
 from __future__ import annotations
 
@@ -243,9 +257,9 @@ def log_sum_exp(v, axis: int | None = None):
     reduced slice keeps at least one finite entry.
     """
     if not isinstance(v, Tensor):
-        return _lse_raw(np.asarray(v, dtype=np.float64), axis)
+        return lse_softmax(np.asarray(v, dtype=np.float64), axis)[0]
 
-    data, softmax_vals = _lse_with_softmax(v.data, axis)
+    data, softmax_vals = lse_softmax(v.data, axis)
 
     def vjp(g: np.ndarray):
         if axis is None:
@@ -255,23 +269,23 @@ def log_sum_exp(v, axis: int | None = None):
     return from_op(data, (v,), vjp, "log_sum_exp")
 
 
-def _lse_raw(arr: np.ndarray, axis: int | None):
-    val, _ = _lse_with_softmax(arr, axis)
-    return val
-
-
-def _lse_with_softmax(arr: np.ndarray, axis: int | None):
+def lse_softmax(arr: np.ndarray, axis: int | None):
+    """``(log_sum_exp(arr), softmax(arr))`` along ``axis`` from one shifted
+    exponential; the softmax is the log-sum-exp's gradient."""
     if arr.size == 0:
         raise DomainError("log_sum_exp of an empty vector is undefined")
     if axis is None:
         m = arr.max()
         shifted = np.exp(arr - m)
         total = shifted.sum()
-        return m + np.log(total), shifted / total
+        shifted /= total
+        return m + np.log(total), shifted
     m = arr.max(axis=axis, keepdims=True)
-    shifted = np.exp(arr - m)
+    shifted = arr - m
+    np.exp(shifted, out=shifted)
     total = shifted.sum(axis=axis, keepdims=True)
-    return (m + np.log(total)).squeeze(axis), shifted / total
+    shifted /= total
+    return (m + np.log(total)).squeeze(axis), shifted
 
 
 def softmax(x, axis: int = -1):

@@ -5,6 +5,13 @@ embedding lives on the unit sphere and cosine similarity is a plain dot
 product. A frozen encoder is read-only and safe to share across threads;
 trainable encoders have a single writer.
 
+A differentiable pass (:meth:`Encoder.embed`) is one graph node for the
+whole MLP and the normalization, and :meth:`CosineClassifier.logits` on a
+tensor is one node too. Each replays the float operations of the
+``matmul``/``add``/``relu``/``l2_normalize`` (and ``transpose``/``mul``)
+chain it stands for, forward and backward, so training gives the same bytes
+as that chain; ``tests/oracles.py`` keeps the chains as the reference.
+
 Checkpoint format (little-endian throughout)::
 
     magic "PALW" | u32 version | u32 n_layers | n_layers x (u32 in, u32 out)
@@ -17,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, l2_normalize, matmul, relu
+from .core import Tensor, from_op, l2_normalize, reshape
 from .data import atomic_write
 from .exceptions import FormatError, ParameterError, ShapeError
 
 CHECKPOINT_MAGIC = b"PALW"
 CHECKPOINT_VERSION = 1
+NORM_EPS = 1e-12  # l2_normalize's default guard
 
 
 @dataclass(frozen=True)
@@ -101,23 +109,46 @@ class Encoder:
         return out[0] if single else out
 
     def embed(self, x: np.ndarray) -> Tensor:
-        """Differentiable forward pass. Frozen encoders return a constant
-        tensor, so no gradient can ever reach their parameters."""
+        """Differentiable forward pass, one graph node whose parents are the
+        weights and biases. Frozen encoders return a constant tensor, so no
+        gradient can ever reach their parameters."""
         if self.frozen:
             return Tensor(self.encode(x))
-        h_arr, single = self._check_input(x)
-        h: Tensor = Tensor(h_arr)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = matmul(h, w) + b
+        h, single = self._check_input(x)
+        weights = [w.data for w in self.weights]
+        inputs, masks = [], []
+        last = len(weights) - 1
+        for i, (w, b) in enumerate(zip(weights, self.biases)):
+            inputs.append(h)
+            h = h @ w
+            h += b.data
             if i != last:
-                h = relu(h)
-        out = l2_normalize(h, axis=-1)
-        if single:
-            from .core import reshape
+                masks.append(h > 0)
+                h = np.where(masks[-1], h, 0.0)
+        norms = np.linalg.norm(h, axis=-1, keepdims=True)
+        clipped = np.maximum(norms, NORM_EPS)
+        out = h / clipped
 
-            out = reshape(out, (out.shape[1],))
-        return out
+        def vjp(g: np.ndarray):
+            # l2_normalize: project out the radial component where the norm
+            # is live, plain 1/eps scaling where the eps guard holds.
+            inner = np.sum(g * out, axis=-1, keepdims=True)
+            live = norms >= NORM_EPS
+            grad_live = out * inner
+            np.subtract(g, grad_live, out=grad_live)
+            grad_live /= clipped
+            g = grad_live if live.all() else np.where(live, grad_live, g / NORM_EPS)
+            d_weights, d_biases = [None] * len(weights), [None] * len(weights)
+            for i in range(last, -1, -1):
+                d_biases[i] = g.sum(axis=0)
+                d_weights[i] = inputs[i].T @ g
+                if i:
+                    g = g @ weights[i].T
+                    g *= masks[i - 1]
+            return (*d_weights, *d_biases)
+
+        node = from_op(out, (*self.weights, *self.biases), vjp, "embed")
+        return reshape(node, (node.shape[1],)) if single else node
 
 
 class CosineClassifier:
@@ -145,13 +176,21 @@ class CosineClassifier:
         return [self.weights]
 
     def logits(self, z):
-        """``scale * <z, w_c>`` per class; Tensor in, Tensor out (and array
-        in, array out for constant targets)."""
-        if isinstance(z, Tensor):
-            from .core import transpose
+        """``scale * <z, w_c>`` per class; Tensor in, Tensor out (one graph
+        node over ``z`` and the weights), and array in, array out for
+        constant targets."""
+        w = self.weights.data
+        if not isinstance(z, Tensor):
+            return (np.asarray(z, dtype=np.float64) @ w.T) * self.scale
+        zd, s = z.data, self.scale
+        if zd.ndim not in (1, 2) or zd.shape[-1] != w.shape[1]:
+            raise ShapeError(f"logits: embeddings of shape {zd.shape} vs weights {w.shape}")
 
-            return matmul(z, transpose(self.weights)) * self.scale
-        return (np.asarray(z, dtype=np.float64) @ self.weights.data.T) * self.scale
+        def vjp(g: np.ndarray):
+            g = g * s
+            return g @ w, (np.outer(zd, g) if zd.ndim == 1 else zd.T @ g).T
+
+        return from_op((zd @ w.T) * s, (z, self.weights), vjp, "logits")
 
     def renormalize(self) -> None:
         """Project weight rows back onto the unit sphere (run after every

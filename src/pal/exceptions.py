@@ -35,3 +35,7 @@ class FormatError(PALError, ValueError):
 
 class FeasibilityError(PALError, RuntimeError):
     """A randomized construction failed within its attempt budget."""
+
+
+class DivergenceError(PALError, FloatingPointError):
+    """Training produced a non-finite loss; the stage writes no file."""

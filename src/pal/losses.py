@@ -14,6 +14,14 @@ hand-built degenerate views.
 
 Instances are summed, not averaged: callers that want a per-instance scale
 divide by the batch size themselves (the trainers do).
+
+The batch objectives the trainers call are single graph nodes: SupCon, CT
+and feature alignment all build one ``_contrastive_sum`` node, and
+:func:`soft_cross_entropy_batch` (behind :func:`ce_loss_batch` and
+:func:`logit_align_loss_batch`) builds one node. Their backward passes replay
+the arithmetic of the composite log-sum-exp chains they replaced, so the
+gradients are bit-identical to those chains (``tests/oracles.py``). The
+one-row losses and the KL terms still compose core ops.
 """
 from __future__ import annotations
 
@@ -29,14 +37,14 @@ from .core import (
     as_tensor,
     clamp_min,
     dot,
+    from_op,
     log,
     log_sum_exp,
-    matmul,
+    lse_softmax,
     reduce_sum,
     reshape,
     scale,
     softmax_temperature,
-    transpose,
 )
 from .encoders import CosineClassifier
 from .exceptions import ContractError, ParameterError, ShapeError
@@ -112,18 +120,24 @@ class ContrastiveResult(NamedTuple):
 
 
 def _contrastive_sum(
-    sims: Tensor,
+    z: Tensor,
+    keys: np.ndarray | None,
+    tau: float,
     candidate_mask: np.ndarray,
     pos_mask: np.ndarray,
 ) -> ContrastiveResult:
-    """Sum over instances of ``lse(candidates) - mean(positive sims)``.
+    """Sum over instances of ``lse(candidates) - mean(positive sims)``, one
+    graph node over ``z``.
 
-    ``sims`` is the (n, m) similarity matrix already divided by tau;
-    ``candidate_mask`` is additive (0 where a column participates in the
-    denominator of row i, -inf elsewhere); ``pos_mask`` is the boolean (n, m)
-    positive mask. Rows with no positives are skipped and counted: they
-    weigh 0 in both terms, and their candidate row is made finite so that
-    no log-sum-exp over an empty row enters the graph.
+    The similarities are ``z @ z.T / tau`` when ``keys`` is None (``z`` is
+    then listed as the node's parent twice, once per side of the product,
+    as the composite ``matmul(z, transpose(z))`` fed it), else ``z @
+    keys.T / tau`` against constant (m, d) keys. ``candidate_mask`` is
+    additive (0 where a column participates in the denominator of row i,
+    -inf elsewhere); ``pos_mask`` is the boolean (n, m) positive mask. Rows
+    with no positives are skipped and counted: they weigh 0 in both terms,
+    and their candidate row is made finite so that no log-sum-exp over an
+    empty row is taken.
     """
     counts = np.count_nonzero(pos_mask, axis=1)
     has_pos = counts > 0
@@ -133,12 +147,32 @@ def _contrastive_sum(
     if not has_pos.any():
         return ContrastiveResult(Tensor(0.0), skipped)
 
-    pos_weights = pos_mask / np.maximum(counts, 1)[:, None]
-    denom = log_sum_exp(sims + np.where(has_pos[:, None], candidate_mask, 0.0), axis=-1)
+    alpha = float(1.0 / tau)
+    zd = z.data
+    sims = zd @ (zd.T if keys is None else keys.T)
+    sims *= alpha
+    pos_weights = pos_mask.astype(np.float64)
+    pos_weights *= (1.0 / np.maximum(counts, 1))[:, None]
     if skipped:
-        denom = denom * has_pos
-    numer = reduce_sum(sims * pos_weights)
-    return ContrastiveResult(reduce_sum(denom) - numer, skipped)
+        live = has_pos.astype(np.float64)
+        candidate_mask = np.where(has_pos[:, None], candidate_mask, 0.0)
+    denom, probs = lse_softmax(sims + candidate_mask, axis=-1)
+    if skipped:
+        denom = denom * live
+    value = denom.sum() - (sims * pos_weights).sum()
+
+    def vjp(g: np.ndarray):
+        # The softmax term (per row, zeroed on skipped rows), then the
+        # positive-weight term, scaled by 1/tau, then through the product.
+        d_sims = (g * live)[:, None] * probs if skipped else g * probs
+        d_sims += -g * pos_weights
+        d_sims *= alpha
+        if keys is None:
+            return d_sims @ zd, (zd.T @ d_sims).T
+        return (d_sims @ keys,)
+
+    parents = (z, z) if keys is None else (z,)
+    return ContrastiveResult(from_op(value, parents, vjp, "contrastive"), skipped)
 
 
 def supct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
@@ -148,12 +182,10 @@ def supct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
     softmax runs over every other instance at temperature tau, summed over
     the batch. Computed through log-sum-exp, never through raw exponentials.
     """
-    z = view.features
-    n = z.shape[0]
-    sims = scale(matmul(z, transpose(z)), 1.0 / view.tau)
+    n = view.features.shape[0]
     self_mask = np.zeros((n, n))
     np.fill_diagonal(self_mask, -np.inf)
-    return _contrastive_sum(sims, self_mask, view.pos_mask)
+    return _contrastive_sum(view.features, None, view.tau, self_mask, view.pos_mask)
 
 
 def ct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
@@ -201,7 +233,13 @@ def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def soft_cross_entropy_batch(p_targets: np.ndarray, logits: Tensor) -> Tensor:
-    """Sum of per-row soft cross-entropies; targets are constants."""
+    """Sum of per-row soft cross-entropies; targets are constants.
+
+    One graph node, ``sum(lse(logits)) - sum(logits * p_targets)``. It lists
+    ``logits`` as its parent twice and returns the log-sum-exp term's
+    gradient first, then the target term's, so the contributions accumulate
+    in the order the two-term composite fed them.
+    """
     p_targets = np.asarray(p_targets, dtype=np.float64)
     logits = as_tensor(logits)
     if p_targets.shape != tuple(logits.shape):
@@ -209,7 +247,13 @@ def soft_cross_entropy_batch(p_targets: np.ndarray, logits: Tensor) -> Tensor:
             f"soft_cross_entropy: target shape {p_targets.shape} vs logits shape "
             f"{tuple(logits.shape)}"
         )
-    return reduce_sum(log_sum_exp(logits, axis=-1)) - reduce_sum(logits * p_targets)
+    lse, probs = lse_softmax(logits.data, axis=-1)
+    value = lse.sum() - (logits.data * p_targets).sum()
+
+    def vjp(g: np.ndarray):
+        return g * probs, -g * p_targets
+
+    return from_op(value, (logits, logits), vjp, "soft_cross_entropy")
 
 
 def kl_loss(p_t, p_s) -> Tensor:
@@ -295,6 +339,6 @@ def feat_align_loss(z_main, anchors: AnchorSets, tau: float) -> ContrastiveResul
         raise ShapeError(
             f"feat_align_loss: {n} embeddings vs {len(anchors.pos_mask)} anchor sets"
         )
-    sims = scale(matmul(z, anchors.features.T), 1.0 / tau)
     mask = np.where(anchors.pos_mask | anchors.neg_mask, 0.0, -np.inf)
-    return _contrastive_sum(sims, mask, anchors.pos_mask)
+    keys = np.asarray(anchors.features, dtype=np.float64)
+    return _contrastive_sum(z, keys, tau, mask, anchors.pos_mask)

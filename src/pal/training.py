@@ -16,10 +16,10 @@ and classifier through it.
 
 Every stage runs on one engine. A stage is its models plus a per-batch
 ``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
-data-order seed stream, batching, the optimizer step under the lr schedule
-and the alignment warm-up, the metrics log, and the final float32 rounding),
-and ``_save`` alone decides the file layout of a run directory:
-``{role}_encoder.palw``, ``{role}_classifier.palw`` and
+data-order seed stream, batching, the non-finite loss check, the optimizer
+step under the lr schedule and the alignment warm-up, the metrics log, and
+the final float32 rounding), and ``_save`` alone decides the file layout of
+a run directory: ``{role}_encoder.palw``, ``{role}_classifier.palw`` and
 ``metrics_{role}.csv``. The stage-two variants differ only in the objective
 terms ``_VARIANT_FLAGS`` switches on.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -51,7 +52,7 @@ from .encoders import (
     save_classifier,
     save_encoder,
 )
-from .exceptions import ContractError, ParameterError
+from .exceptions import ContractError, DivergenceError, ParameterError
 from .losses import (
     ContrastiveBatchView,
     ce_loss_batch,
@@ -230,9 +231,12 @@ class SGD:
             for i, p in enumerate(self.params):
                 if p.grad is None:
                     raise ContractError("SGD.step: parameter has no gradient; run backward first")
-                g = p.grad + weight_decay * p.data
-                self.velocity[i] = self.momentum * self.velocity[i] + g
-                p.data = p.data - lr * self.velocity[i]
+                g = weight_decay * p.data
+                g += p.grad
+                v = self.velocity[i]
+                v *= self.momentum
+                v += g
+                p.data = p.data - np.multiply(v, lr, out=g)
 
 
 METRIC_COLUMNS = (
@@ -362,8 +366,12 @@ class VariantResult:
     partner_checkpoint: Path | None = None
 
 
+# Loss columns checked after every step, components before their total.
+LOSS_COLUMNS = ("loss_ce", "loss_feat", "loss_logit", "loss_aux", "loss_total")
+
+
 def _fit(
-    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, data_stream: str, models, loss_fn
+    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: str, models, loss_fn
 ) -> MetricsLogger:
     """The one training loop behind every stage.
 
@@ -372,12 +380,14 @@ def _fit(
     after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
     logit-alignment weight and returns the backward roots plus the metrics
     row for the step. The data order is drawn from the run's
-    ``data_stream`` seed stream.
+    ``{stage}_data`` seed stream. The first non-finite loss raises
+    :class:`DivergenceError` before its step is taken, so a diverged stage
+    returns nothing to save.
     """
     aug = aug if aug is not None else AugmentConfig()
     opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
     classifiers = [m for m in models if isinstance(m, CosineClassifier)]
-    data_rng = np.random.default_rng(_seed_streams(cfg)[data_stream])
+    data_rng = np.random.default_rng(_seed_streams(cfg)[f"{stage}_data"])
     schedule = WarmupSchedule(cfg.warmup_epochs)
     metrics = MetricsLogger()
 
@@ -386,6 +396,12 @@ def _fit(
         w = schedule(epoch)
         for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
             roots, row = loss_fn(batch, w)
+            for column in LOSS_COLUMNS:
+                if not math.isfinite(row.get(column, 0.0)):
+                    raise DivergenceError(
+                        f"{cfg.variant.value} {stage} stage diverged: {column} = "
+                        f"{row[column]} at epoch {epoch}, step {step}"
+                    )
             opt.zero_grad()
             for root in roots:
                 backward(root)
@@ -447,7 +463,7 @@ def train_partner(
             loss_aux=float(total),
         )
 
-    metrics = _fit(base, cfg, aug, "partner_data", [enc], loss_fn)
+    metrics = _fit(base, cfg, aug, "partner", [enc], loss_fn)
     checkpoint, _ = _save(out_dir, "partner", enc, metrics=metrics)
     return PartnerResult(encoder=enc, metrics=metrics, checkpoint=checkpoint)
 
@@ -510,9 +526,17 @@ def train_main(
         per = 1.0 / batch.size
         z_main = enc.embed(batch.inputs)
         logits = clf.logits(z_main) if clf else None
-        z_partner = partner.encode(batch.inputs) if flags.needs_partner else None
         total = Tensor(0.0)
         row = {"skipped_positive_instances": 0}
+        # The anchors are the partner's embeddings of this batch, so a
+        # variant that samples them encodes the batch once.
+        if flags.use_feat:
+            anchors = sample_anchor_sets(
+                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
+            )
+            z_partner = anchors.features
+        elif flags.needs_partner:
+            z_partner = partner.encode(batch.inputs)
 
         if flags.use_ce:
             labels_idx = np.searchsorted(class_list, batch.labels)
@@ -520,9 +544,6 @@ def train_main(
             row["loss_ce"] = float(l_ce)
             total = total + l_ce
         if flags.use_feat:
-            anchors = sample_anchor_sets(
-                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
-            )
             result = feat_align_loss(z_main, anchors, cfg.tau)
             l_feat = scale(result.loss, per)
             row["loss_feat"] = float(l_feat)
@@ -552,7 +573,7 @@ def train_main(
         return [total], row
 
     models = [enc] if clf is None else [enc, clf]
-    metrics = _fit(base, cfg, aug, "main_data", models, loss_fn)
+    metrics = _fit(base, cfg, aug, "main", models, loss_fn)
     enc_path, clf_path = _save(out_dir, "main", enc, clf, metrics)
     return MainResult(enc, clf, metrics, enc_path, clf_path)
 
@@ -599,7 +620,7 @@ def _train_mutual(
             loss_aux=float(l_supct) + float(l_kl_a) + float(l_kl_b),
         )
 
-    metrics = _fit(base, cfg, aug, "main_data", [enc_a, clf_a, enc_b, clf_b], loss_fn)
+    metrics = _fit(base, cfg, aug, "main", [enc_a, clf_a, enc_b, clf_b], loss_fn)
     enc_path, clf_path = _save(out_dir, "main", enc_b, clf_b, metrics)
     _save(out_dir, "peer", enc_a)
     return VariantResult(

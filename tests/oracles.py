@@ -1,17 +1,36 @@
-"""Independent brute-force reference implementations used by the tests.
+"""Independent reference implementations used by the tests.
 
-Everything here is written as plain double loops over python floats (with a
-max-shift for stability), deliberately sharing no code with the tensor path
-it checks. The positive and anchor sets are built one row at a time, the
-way the package built them before it used dense masks, and episodic
-evaluation encodes each episode's own rows, the way it ran before it
+Most of this module is brute force: plain double loops over python floats
+(with a max-shift for stability), deliberately sharing no code with the
+tensor path it checks. The positive and anchor sets are built one row at a
+time, the way the package built them before it used dense masks, and
+episodic evaluation encodes each episode's own rows, the way it ran before it
 encoded the split once per call.
+
+The ``*_composite`` functions are the other kind of reference: the chains of
+core primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
+``log_sum_exp``, ``reduce_sum``, ...) that the package's fused graph nodes
+replaced. A fused node must reproduce its chain's value and every gradient
+bit for bit, so these are compared with ``np.array_equal``.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from pal.core import (
+    Tensor,
+    as_tensor,
+    l2_normalize,
+    log_sum_exp,
+    matmul,
+    reduce_sum,
+    relu,
+    reshape,
+    scale,
+    transpose,
+)
 
 
 def lse_py(values) -> float:
@@ -161,3 +180,63 @@ def random_unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     p = rng.random(n) + 1e-6
     return p / p.sum()
+
+
+# ---- composite chains of core primitives ------------------------------------
+
+def embed_composite(enc, x) -> Tensor:
+    """``Encoder.embed`` as a chain: matmul, bias add and ReLU per layer
+    (no ReLU after the last), then ``l2_normalize``."""
+    h_arr, single = enc._check_input(x)
+    h = Tensor(h_arr)
+    last = len(enc.weights) - 1
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = matmul(h, w) + b
+        if i != last:
+            h = relu(h)
+    out = l2_normalize(h, axis=-1)
+    return reshape(out, (out.shape[1],)) if single else out
+
+
+def logits_composite(clf, z: Tensor) -> Tensor:
+    """``CosineClassifier.logits`` on a tensor as a chain."""
+    return matmul(z, transpose(clf.weights)) * clf.scale
+
+
+def contrastive_sum_composite(sims: Tensor, candidate_mask: np.ndarray, pos_mask: np.ndarray):
+    """The contrastive sum over an (n, m) similarity tensor already divided
+    by tau: ``(loss, skipped)``."""
+    counts = np.count_nonzero(pos_mask, axis=1)
+    has_pos = counts > 0
+    skipped = int(np.count_nonzero(~has_pos))
+    if not has_pos.any():
+        return Tensor(0.0), skipped
+    pos_weights = pos_mask / np.maximum(counts, 1)[:, None]
+    denom = log_sum_exp(sims + np.where(has_pos[:, None], candidate_mask, 0.0), axis=-1)
+    if skipped:
+        denom = denom * has_pos
+    numer = reduce_sum(sims * pos_weights)
+    return reduce_sum(denom) - numer, skipped
+
+
+def supct_composite(view):
+    z = view.features
+    n = z.shape[0]
+    sims = scale(matmul(z, transpose(z)), 1.0 / view.tau)
+    self_mask = np.zeros((n, n))
+    np.fill_diagonal(self_mask, -np.inf)
+    return contrastive_sum_composite(sims, self_mask, view.pos_mask)
+
+
+def feat_align_composite(z_main, anchors, tau: float):
+    z = as_tensor(z_main)
+    if z.ndim == 1:
+        z = reshape(z, (1, z.shape[0]))
+    sims = scale(matmul(z, anchors.features.T), 1.0 / tau)
+    mask = np.where(anchors.pos_mask | anchors.neg_mask, 0.0, -np.inf)
+    return contrastive_sum_composite(sims, mask, anchors.pos_mask)
+
+
+def soft_cross_entropy_batch_composite(p_targets, logits: Tensor) -> Tensor:
+    p_targets = np.asarray(p_targets, dtype=np.float64)
+    return reduce_sum(log_sum_exp(logits, axis=-1)) - reduce_sum(logits * p_targets)

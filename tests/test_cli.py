@@ -180,3 +180,32 @@ def test_init_config_template(tmp_path):
     assert main(["init-config", str(path)]) == 0
     text = path.read_text()
     assert "[train]" in text and "variant = PAL" in text
+
+
+def _tiny_table(data_dir, out, novel="novel.pald"):
+    from pal.ablation import run_table
+    from pal.batching import AugmentConfig
+    from pal.config import DESK_AUGMENT
+    from pal.training import TrainConfig
+
+    cfg = TrainConfig(epochs=1, lr_decay_epoch=1, warmup_epochs=0, batch_size=16)
+    return run_table(4, data_dir / "base.pald", data_dir / novel, cfg,
+                     AugmentConfig(**DESK_AUGMENT), out, episodes=5, jobs=1)
+
+
+def test_ablate_reads_each_split_once(data_dir, tmp_path, monkeypatch):
+    import pal.ablation
+
+    loads = []
+    real_load = pal.ablation.load_dataset
+    monkeypatch.setattr(pal.ablation, "load_dataset",
+                        lambda path: loads.append(path) or real_load(path))
+    _tiny_table(data_dir, tmp_path / "grid")
+    assert loads == [data_dir / "base.pald", data_dir / "novel.pald"]
+
+
+def test_ablate_missing_split_writes_nothing(data_dir, tmp_path):
+    out = tmp_path / "grid"
+    with pytest.raises(OSError):
+        _tiny_table(data_dir, out, novel="missing.pald")
+    assert not out.exists()

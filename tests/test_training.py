@@ -7,8 +7,8 @@ import pytest
 from pal.batching import AugmentConfig
 from pal.core import Tensor
 from pal.data import SyntheticSpec, generate_synthetic
-from pal.encoders import load_encoder, save_encoder
-from pal.exceptions import ContractError, ParameterError
+from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
+from pal.exceptions import ContractError, DivergenceError, ParameterError
 from pal.training import (
     SGD,
     MetricsLogger,
@@ -291,3 +291,38 @@ def test_training_deterministic_same_seed(tiny_base):
     assert t1 == t2
     for a, b in zip(r1.encoder.parameters(), r2.encoder.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class CountingEncoder(Encoder):
+    """An encoder that counts its graph-free forward passes."""
+
+    calls = 0
+
+    def encode(self, x):
+        self.calls += 1
+        return super().encode(x)
+
+
+@pytest.mark.parametrize("variant", [Variant.PAL, Variant.PAL_FEAT_ONLY, Variant.PAL_FEAT_KL,
+                                     Variant.REVERSE, Variant.PAL_LOGIT_ONLY])
+def test_frozen_partner_encodes_each_main_batch_once(tiny_base, variant):
+    cfg = TrainConfig(epochs=2, lr=0.05, lr_decay_epoch=2, batch_size=8, warmup_epochs=1,
+                      variant=variant)
+    partner = CountingEncoder(EncoderConfig(tiny_base.dim, seed=1)).freeze()
+    result = train_main(tiny_base, cfg, partner=partner, aug=AUG)
+    assert partner.calls == len(result.metrics.rows) == 2 * len(tiny_base.y) // 8
+
+
+@pytest.mark.parametrize("variant, stage, column", [
+    (Variant.CE_ONLY, "main", "loss_ce"),
+    (Variant.PAL, "partner", "loss_aux"),
+])
+def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant, stage, column):
+    cfg = TrainConfig(epochs=2, lr=1e200, lr_decay_epoch=2, batch_size=8, warmup_epochs=1,
+                      variant=variant)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        train_variant(tiny_base, cfg, aug=AUG, out_dir=tmp_path)
+    assert str(err.value) == (
+        f"{variant.value} {stage} stage diverged: {column} = nan at epoch 0, step 1"
+    )
+    assert not list(tmp_path.glob(f"*{stage}*"))
