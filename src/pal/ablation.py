@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -48,14 +48,8 @@ TABLE_VARIANTS: dict[int, tuple[Variant, ...]] = {
     ),
 }
 
-ROW_COLUMNS = (
-    "variant",
-    "episodes",
-    "acc_1shot",
-    "ci95_1shot",
-    "acc_5shot",
-    "ci95_5shot",
-)
+# Every table is 5-way, evaluated 1- and 5-shot, as its column names say.
+WAYS, SHOTS = 5, (1, 5)
 
 
 @dataclass
@@ -68,24 +62,20 @@ class AblationRow:
     ci95_5shot: float
 
 
-def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, n, k_values, q,
-             episodes) -> AblationRow:
+ROW_COLUMNS = tuple(f.name for f in fields(AblationRow))
+
+
+def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, q, episodes) -> AblationRow:
     run_dir = Path(out_dir) / cfg.variant.value
     result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net)
-    reports = {}
-    for k in k_values:
-        reports[k] = evaluate(
-            result.encoder, novel, n=n, k=k, q=q, episodes=episodes, rng=eval_seed(cfg)
+    stats = []
+    for k in SHOTS:
+        report = evaluate(
+            result.encoder, novel, n=WAYS, k=k, q=q, episodes=episodes, rng=eval_seed(cfg)
         )
-        reports[k].to_csv(run_dir / f"eval_{n}way_{k}shot.csv")
-    return AblationRow(
-        variant=cfg.variant.value,
-        episodes=episodes,
-        acc_1shot=reports[k_values[0]].mean_accuracy,
-        ci95_1shot=reports[k_values[0]].ci95,
-        acc_5shot=reports[k_values[1]].mean_accuracy if len(k_values) > 1 else float("nan"),
-        ci95_5shot=reports[k_values[1]].ci95 if len(k_values) > 1 else float("nan"),
-    )
+        report.to_csv(run_dir / f"eval_{WAYS}way_{k}shot.csv")
+        stats += [report.mean_accuracy, report.ci95]
+    return AblationRow(cfg.variant.value, episodes, *stats)
 
 
 def run_table(
@@ -96,17 +86,16 @@ def run_table(
     aug: AugmentConfig,
     out_dir,
     net: NetConfig = NetConfig(),
-    n: int = 5,
-    k_values: tuple[int, ...] = (1, 5),
     q: int = 15,
     episodes: int = 600,
     jobs: int = 1,
 ) -> Path:
-    """Train and evaluate every variant of ``table``; write ``tableN.csv``
-    and return its path. All rows share the config seed, so they are
-    directly comparable; isolation between rows is per-run state only. Each
-    split is read once, before anything is written, and every row (in
-    process or in a worker) trains and evaluates on those arrays."""
+    """Train every variant of ``table`` and evaluate it 5-way 1- and 5-shot
+    (``{variant}/eval_5way_{k}shot.csv``); write ``tableN.csv`` and return
+    its path. All rows share the config seed, so they are directly
+    comparable; isolation between rows is per-run state only. Each split is
+    read once, before anything is written, and every row (in process or in
+    a worker) trains and evaluates on those arrays."""
     if table not in TABLE_VARIANTS:
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
     base = load_dataset(base_path)
@@ -114,7 +103,7 @@ def run_table(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_one = partial(_run_one, base=base, novel=novel, aug=aug, net=net,
-                      out_dir=out, n=n, k_values=tuple(k_values), q=q, episodes=episodes)
+                      out_dir=out, q=q, episodes=episodes)
     cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -127,14 +116,6 @@ def run_table(
         writer = csv.writer(fh)
         writer.writerow(ROW_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.variant,
-                    row.episodes,
-                    f"{row.acc_1shot:.10g}",
-                    f"{row.ci95_1shot:.10g}",
-                    f"{row.acc_5shot:.10g}",
-                    f"{row.ci95_5shot:.10g}",
-                ]
-            )
+            name, count, *stats = astuple(row)
+            writer.writerow([name, count, *(f"{v:.10g}" for v in stats)])
     return path

@@ -21,8 +21,9 @@ nodes are checked against.
 The stability-sensitive ops (:func:`log_sum_exp`, :func:`softmax_temperature`,
 :func:`l2_normalize`) also accept plain arrays and then return plain arrays,
 so constant targets (soft labels, anchors) can reuse the exact same numerics
-without entering a graph; :func:`lse_softmax` is the shared log-sum-exp
-kernel.
+without entering a graph. :func:`lse_softmax` is the one shifted-exponential
+kernel: :func:`log_sum_exp`, :func:`softmax` and the fused loss nodes all
+take their values from it.
 """
 from __future__ import annotations
 
@@ -289,14 +290,12 @@ def lse_softmax(arr: np.ndarray, axis: int | None):
 
 
 def softmax(x, axis: int = -1):
-    """Stable softmax; Tensor in, Tensor out (or array in, array out)."""
+    """Stable softmax, :func:`lse_softmax`'s second output; Tensor in,
+    Tensor out (or array in, array out)."""
     if not isinstance(x, Tensor):
-        arr = np.asarray(x, dtype=np.float64)
-        shifted = np.exp(arr - arr.max(axis=axis, keepdims=True))
-        return shifted / shifted.sum(axis=axis, keepdims=True)
+        return lse_softmax(np.asarray(x, dtype=np.float64), axis)[1]
 
-    shifted = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    out = shifted / shifted.sum(axis=axis, keepdims=True)
+    out = lse_softmax(x.data, axis)[1]
 
     def vjp(g: np.ndarray):
         inner = np.sum(g * out, axis=axis, keepdims=True)

@@ -56,18 +56,8 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """Constant view of this tensor's values, cut out of the graph."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     # Operator sugar; the actual math lives in pal.core.ops.
     def __add__(self, other: ArrayLike) -> "Tensor":

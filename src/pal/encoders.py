@@ -11,11 +11,15 @@ tensor is one node too. Each replays the float operations of the
 ``matmul``/``add``/``relu``/``l2_normalize`` (and ``transpose``/``mul``)
 chain it stands for, forward and backward, so training gives the same bytes
 as that chain; ``tests/oracles.py`` keeps the chains as the reference.
+:meth:`Encoder.encode` runs the same forward pass without the graph, so the
+two agree bit for bit, non-finite values included.
 
 Checkpoint format (little-endian throughout)::
 
     magic "PALW" | u32 version | u32 n_layers | n_layers x (u32 in, u32 out)
     then per layer: in*out float32 weights (row-major) + out float32 biases
+
+A checkpoint holding a non-finite value is refused on load.
 """
 from __future__ import annotations
 
@@ -96,16 +100,27 @@ class Encoder:
             )
         return x, single
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass; unit embeddings, one per input row
-        (a single vector in gives a single vector out)."""
+    def _forward(self, x: np.ndarray, inputs: list | None = None):
+        """The one MLP forward pass: dense layers with the bias added and the
+        ReLU applied in place, then the unit normalization. Returns the
+        embeddings, their pre-normalization norms and whether ``x`` was a
+        single vector; with ``inputs``, appends each layer's input to it."""
         h, single = self._check_input(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ w.data
+            h += b.data
             if i != last:
-                h = np.maximum(h, 0.0)
-        out = l2_normalize(h, axis=-1)
+                np.maximum(h, 0.0, out=h)
+        norms = np.linalg.norm(h, axis=-1, keepdims=True)
+        return h / np.maximum(norms, NORM_EPS), norms, single
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free forward pass; unit embeddings, one per input row
+        (a single vector in gives a single vector out)."""
+        out, _, single = self._forward(x)
         return out[0] if single else out
 
     def embed(self, x: np.ndarray) -> Tensor:
@@ -114,37 +129,28 @@ class Encoder:
         gradient can ever reach their parameters."""
         if self.frozen:
             return Tensor(self.encode(x))
-        h, single = self._check_input(x)
         weights = [w.data for w in self.weights]
-        inputs, masks = [], []
-        last = len(weights) - 1
-        for i, (w, b) in enumerate(zip(weights, self.biases)):
-            inputs.append(h)
-            h = h @ w
-            h += b.data
-            if i != last:
-                masks.append(h > 0)
-                h = np.where(masks[-1], h, 0.0)
-        norms = np.linalg.norm(h, axis=-1, keepdims=True)
-        clipped = np.maximum(norms, NORM_EPS)
-        out = h / clipped
+        inputs = []
+        out, norms, single = self._forward(x, inputs)
 
         def vjp(g: np.ndarray):
             # l2_normalize: project out the radial component where the norm
-            # is live, plain 1/eps scaling where the eps guard holds.
+            # is live, plain 1/eps scaling where the eps guard holds. A
+            # hidden unit passed gradient where its ReLU output, the next
+            # layer's input, is positive.
             inner = np.sum(g * out, axis=-1, keepdims=True)
             live = norms >= NORM_EPS
             grad_live = out * inner
             np.subtract(g, grad_live, out=grad_live)
-            grad_live /= clipped
+            grad_live /= np.maximum(norms, NORM_EPS)
             g = grad_live if live.all() else np.where(live, grad_live, g / NORM_EPS)
             d_weights, d_biases = [None] * len(weights), [None] * len(weights)
-            for i in range(last, -1, -1):
+            for i in range(len(weights) - 1, -1, -1):
                 d_biases[i] = g.sum(axis=0)
                 d_weights[i] = inputs[i].T @ g
                 if i:
                     g = g @ weights[i].T
-                    g *= masks[i - 1]
+                    g *= inputs[i] > 0
             return (*d_weights, *d_biases)
 
         node = from_op(out, (*self.weights, *self.biases), vjp, "embed")
@@ -236,6 +242,9 @@ def _read_palw(path) -> list[tuple[np.ndarray, np.ndarray]]:
         offset += w_bytes
         b = np.frombuffer(blob, dtype="<f4", count=fan_out, offset=offset)
         offset += b_bytes
+        for kind, values in (("weight", w), ("bias", b)):
+            if not np.isfinite(values).all():
+                raise FormatError(f"{path}: non-finite {kind} value in layer {len(layers)}")
         layers.append((w.reshape(fan_in, fan_out).astype(np.float64), b.astype(np.float64)))
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
@@ -271,11 +280,11 @@ def save_classifier(clf: CosineClassifier, path) -> None:
     _write_palw(path, [(w, np.zeros(w.shape[1]))])
 
 
-def load_classifier(path, scale: float = 10.0, seed: int = 0) -> CosineClassifier:
+def load_classifier(path, scale: float = 10.0) -> CosineClassifier:
     layers = _read_palw(path)
     if len(layers) != 1:
         raise FormatError(f"{path}: a classifier checkpoint holds exactly 1 layer")
     w, _ = layers[0]
-    clf = CosineClassifier(n_classes=w.shape[1], embed_dim=w.shape[0], scale=scale, seed=seed)
+    clf = CosineClassifier(n_classes=w.shape[1], embed_dim=w.shape[0], scale=scale)
     clf.weights.data = w.T.copy()
     return clf

@@ -13,6 +13,7 @@ import inspect
 import numpy as np
 
 from .batching import AugmentConfig
+from .core import l2_normalize
 from .data import Split
 from .exceptions import ParameterError
 from .training import NetConfig, TrainConfig, Variant, train_variant
@@ -60,8 +61,7 @@ class PrototypeClassifier(BaseEstimator):
     def _embed(self, X: np.ndarray) -> np.ndarray:
         if self.encoder is not None:
             return self.encoder.encode(X)
-        norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        return X / norms
+        return l2_normalize(X)
 
     def fit(self, X, y) -> "PrototypeClassifier":
         X = check_matrix(X)
@@ -69,8 +69,7 @@ class PrototypeClassifier(BaseEstimator):
         z = self._embed(X)
         self.classes_ = np.unique(y)
         protos = np.stack([z[y == c].mean(axis=0) for c in self.classes_])
-        norms = np.maximum(np.linalg.norm(protos, axis=1, keepdims=True), 1e-12)
-        self.prototypes_ = protos / norms
+        self.prototypes_ = l2_normalize(protos)
         return self
 
     def predict(self, X) -> np.ndarray:

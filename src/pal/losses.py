@@ -21,7 +21,9 @@ and feature alignment all build one ``_contrastive_sum`` node, and
 :func:`logit_align_loss_batch`) builds one node. Their backward passes replay
 the arithmetic of the composite log-sum-exp chains they replaced, so the
 gradients are bit-identical to those chains (``tests/oracles.py``). The
-one-row losses and the KL terms still compose core ops.
+KL term composes core ops. Each one-row loss (:func:`ce_loss`,
+:func:`soft_cross_entropy`, :func:`kl_loss`, :func:`logit_align_loss`) is
+its batch form applied to a 1-D row.
 """
 from __future__ import annotations
 
@@ -36,10 +38,8 @@ from .core import (
     Tensor,
     as_tensor,
     clamp_min,
-    dot,
     from_op,
     log,
-    log_sum_exp,
     lse_softmax,
     reduce_sum,
     reshape,
@@ -54,15 +54,6 @@ logger = logging.getLogger(__name__)
 PROB_FLOOR = 1e-12
 
 _floor_reported = False
-
-
-def _report_floor(count: int) -> None:
-    # First trigger is loud; repeats (every step of a KL-aligned run can
-    # floor a few tail probabilities) drop to debug.
-    global _floor_reported
-    level = logging.DEBUG if _floor_reported else logging.WARNING
-    logger.log(level, "kl_loss: floored %d student probabilit(ies) at %g", count, PROB_FLOOR)
-    _floor_reported = True
 
 
 @dataclass(frozen=True)
@@ -210,13 +201,9 @@ def ce_loss(logits: Tensor, label: int) -> Tensor:
 def soft_cross_entropy(p_target, logits: Tensor) -> Tensor:
     """``H(p_target, softmax(logits))``; the target is a constant, so the
     gradient reaches only the logits."""
-    probs = p_target.probs if isinstance(p_target, SoftLabel) else np.asarray(p_target, dtype=np.float64)
-    logits = as_tensor(logits)
-    if probs.shape != logits.shape:
-        raise ShapeError(
-            f"soft_cross_entropy: target shape {probs.shape} vs logits shape {logits.shape}"
-        )
-    return log_sum_exp(logits) - dot(probs, logits)
+    if isinstance(p_target, SoftLabel):
+        p_target = p_target.probs
+    return soft_cross_entropy_batch(p_target, logits)
 
 
 def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -233,7 +220,8 @@ def ce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def soft_cross_entropy_batch(p_targets: np.ndarray, logits: Tensor) -> Tensor:
-    """Sum of per-row soft cross-entropies; targets are constants.
+    """Sum of per-row soft cross-entropies; targets are constants (a 1-D
+    row is one cross-entropy).
 
     One graph node, ``sum(lse(logits)) - sum(logits * p_targets)``. It lists
     ``logits`` as its parent twice and returns the log-sum-exp term's
@@ -257,31 +245,32 @@ def soft_cross_entropy_batch(p_targets: np.ndarray, logits: Tensor) -> Tensor:
 
 
 def kl_loss(p_t, p_s) -> Tensor:
-    """``KL(p_t || p_s)`` with the teacher treated as a constant.
-
-    Decomposes exactly as ``-H(p_t) + H(p_t, p_s)``. Student probabilities
-    are floored at 1e-12 before the log; flooring where the teacher has mass
-    is reported through the module logger.
-    """
-    p_t = p_t.probs if isinstance(p_t, SoftLabel) else np.asarray(p_t, dtype=np.float64)
-    if isinstance(p_s, SoftLabel):
-        p_s = p_s.probs
-    p_s_data = p_s.data if isinstance(p_s, Tensor) else np.asarray(p_s, dtype=np.float64)
-    floored = int(np.count_nonzero((p_s_data < PROB_FLOOR) & (p_t > 0)))
-    if floored:
-        _report_floor(floored)
-    neg_entropy_t = float(np.sum(np.where(p_t > 0, p_t * np.log(np.where(p_t > 0, p_t, 1.0)), 0.0)))
-    cross = scale(dot(p_t, log(clamp_min(as_tensor(p_s), PROB_FLOOR))), -1.0)
-    return cross + neg_entropy_t
+    """``KL(p_t || p_s)`` for one row, either side a :class:`SoftLabel` or
+    a probability vector; see :func:`kl_loss_batch`."""
+    p_t, p_s = (p.probs if isinstance(p, SoftLabel) else p for p in (p_t, p_s))
+    return kl_loss_batch(p_t, p_s)
 
 
 def kl_loss_batch(p_t: np.ndarray, p_s: Tensor) -> Tensor:
-    """Sum of per-row ``KL(p_t || p_s)`` for (n, C) inputs."""
+    """Sum of per-row ``KL(p_t || p_s)`` for (n, C) inputs (or one 1-D
+    row), with the teacher treated as a constant.
+
+    Decomposes exactly as ``-H(p_t) + H(p_t, p_s)``. Student probabilities
+    are floored at 1e-12 before the log; flooring where the teacher has mass
+    is reported through the module logger, loudly the first time and at
+    debug level after that (every step of a KL-aligned run can floor a few
+    tail probabilities).
+    """
+    global _floor_reported
     p_t = np.asarray(p_t, dtype=np.float64)
     p_s_data = p_s.data if isinstance(p_s, Tensor) else np.asarray(p_s, dtype=np.float64)
+    if p_t.shape != p_s_data.shape:
+        raise ShapeError(f"kl_loss: teacher shape {p_t.shape} vs student shape {p_s_data.shape}")
     floored = int(np.count_nonzero((p_s_data < PROB_FLOOR) & (p_t > 0)))
     if floored:
-        _report_floor(floored)
+        level = logging.DEBUG if _floor_reported else logging.WARNING
+        logger.log(level, "kl_loss: floored %d student probabilit(ies) at %g", floored, PROB_FLOOR)
+        _floor_reported = True
     neg_entropy_t = float(np.sum(np.where(p_t > 0, p_t * np.log(np.where(p_t > 0, p_t, 1.0)), 0.0)))
     cross = scale(reduce_sum(log(clamp_min(as_tensor(p_s), PROB_FLOOR)) * p_t), -1.0)
     return cross + neg_entropy_t
@@ -307,9 +296,7 @@ def logit_align_loss(
             f"logit alignment pairs same-class inputs, got classes "
             f"{x_prime_class} (partner) vs {x_class} (main)"
         )
-    z_partner = np.asarray(z_partner, dtype=np.float64)
-    target = softmax_temperature(clf.logits(z_partner), tau)
-    return soft_cross_entropy(target, logits_main)
+    return logit_align_loss_batch(clf, z_partner, logits_main, tau)
 
 
 def logit_align_loss_batch(

@@ -206,14 +206,13 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 def sgd_step(params: list[Tensor], lr: float, weight_decay: float = 0.0) -> None:
     """One vanilla step: ``p <- p - lr * (grad + weight_decay * p)``."""
-    for p in params:
-        if p.grad is None:
-            raise ContractError("sgd_step: parameter has no gradient; run backward first")
-        p.data = p.data - lr * (p.grad + weight_decay * p.data)
+    SGD(params).step(lr, weight_decay)
 
 
 class SGD:
-    """SGD with optional momentum."""
+    """SGD with optional momentum: ``v <- momentum * v + grad + weight_decay
+    * p``, then ``p <- p - lr * v``. At momentum 0 the velocity is exactly
+    this step's gradient, so the step is the vanilla one bit for bit."""
 
     def __init__(self, params: list[Tensor], momentum: float = 0.0):
         self.params = list(params)
@@ -225,18 +224,14 @@ class SGD:
             p.grad = None
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
-        if self.momentum == 0.0:
-            sgd_step(self.params, lr, weight_decay)
-        else:
-            for i, p in enumerate(self.params):
-                if p.grad is None:
-                    raise ContractError("SGD.step: parameter has no gradient; run backward first")
-                g = weight_decay * p.data
-                g += p.grad
-                v = self.velocity[i]
-                v *= self.momentum
-                v += g
-                p.data = p.data - np.multiply(v, lr, out=g)
+        for p, v in zip(self.params, self.velocity):
+            if p.grad is None:
+                raise ContractError("SGD.step: parameter has no gradient; run backward first")
+            g = weight_decay * p.data
+            g += p.grad
+            v *= self.momentum
+            v += g
+            p.data = p.data - np.multiply(v, lr, out=g)
 
 
 METRIC_COLUMNS = (

@@ -12,6 +12,10 @@ core primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
 ``log_sum_exp``, ``reduce_sum``, ...) that the package's fused graph nodes
 replaced. A fused node must reproduce its chain's value and every gradient
 bit for bit, so these are compared with ``np.array_equal``.
+
+The last section keeps the second implementations the package folded onto
+one (the graph-free encoder pass, the vanilla SGD step, the direct softmax):
+the merged path must still give their bytes.
 """
 from __future__ import annotations
 
@@ -240,3 +244,35 @@ def feat_align_composite(z_main, anchors, tau: float):
 def soft_cross_entropy_batch_composite(p_targets, logits: Tensor) -> Tensor:
     p_targets = np.asarray(p_targets, dtype=np.float64)
     return reduce_sum(log_sum_exp(logits, axis=-1)) - reduce_sum(logits * p_targets)
+
+
+# ---- folded-away second implementations --------------------------------------
+
+def encode_loop(enc, x) -> np.ndarray:
+    """``Encoder.encode`` as it ran beside ``embed``: ``h @ w + b`` and
+    ``np.maximum(h, 0)`` per layer (no ReLU after the last), then
+    ``l2_normalize``."""
+    h, single = enc._check_input(x)
+    last = len(enc.weights) - 1
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = h @ w.data + b.data
+        if i != last:
+            h = np.maximum(h, 0.0)
+    out = l2_normalize(h, axis=-1)
+    return out[0] if single else out
+
+
+def sgd_vanilla_loop(params, grads, lr: float, weight_decay: float) -> None:
+    """The momentum-free SGD step applied once per entry of ``grads`` (a
+    list of per-parameter gradient lists): ``p <- p - lr * (grad +
+    weight_decay * p)``."""
+    for step in grads:
+        for p, g in zip(params, step):
+            p.data = p.data - lr * (g + weight_decay * p.data)
+
+
+def softmax_shifted_exp(arr, axis: int = -1) -> np.ndarray:
+    """Softmax as the direct shifted exponential over ``axis``."""
+    arr = np.asarray(arr, dtype=np.float64)
+    shifted = np.exp(arr - arr.max(axis=axis, keepdims=True))
+    return shifted / shifted.sum(axis=axis, keepdims=True)

@@ -209,3 +209,23 @@ def test_ablate_missing_split_writes_nothing(data_dir, tmp_path):
     with pytest.raises(OSError):
         _tiny_table(data_dir, out, novel="missing.pald")
     assert not out.exists()
+
+
+def test_ablate_writes_5way_1_and_5shot_evals_per_row(data_dir, tmp_path):
+    from pal.ablation import ROW_COLUMNS, TABLE_VARIANTS
+
+    path = _tiny_table(data_dir, tmp_path / "grid")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert ROW_COLUMNS == (
+        "variant", "episodes", "acc_1shot", "ci95_1shot", "acc_5shot", "ci95_5shot"
+    )
+    assert [r["variant"] for r in rows] == [v.value for v in TABLE_VARIANTS[4]]
+    for row in rows:
+        run_dir = tmp_path / "grid" / row["variant"]
+        evals = sorted(p.name for p in run_dir.glob("eval_*"))
+        assert evals == ["eval_5way_1shot.csv", "eval_5way_5shot.csv"]
+        for k in (1, 5):
+            with open(run_dir / f"eval_5way_{k}shot.csv", newline="") as fh:
+                accs = [float(r[1]) for r in list(csv.reader(fh))[1:-1]]
+            assert float(row[f"acc_{k}shot"]) == pytest.approx(np.mean(accs), rel=1e-9)

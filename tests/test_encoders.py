@@ -16,6 +16,8 @@ from pal.encoders import (
 )
 from pal.exceptions import FormatError, ParameterError, ShapeError
 
+from oracles import encode_loop
+
 
 @pytest.fixture
 def config():
@@ -45,8 +47,12 @@ def test_embed_deterministic_and_unit_norm(config):
 
 def test_embed_and_encode_agree(config):
     enc = Encoder(config)
-    x = np.random.default_rng(1).normal(size=(3, 6))
-    np.testing.assert_array_equal(enc.embed(x).data, enc.encode(x))
+    rng = np.random.default_rng(1)
+    for x in (rng.normal(size=(3, 6)), rng.normal(size=6)):
+        z = enc.encode(x)
+        assert z.shape == (*x.shape[:-1], 4)
+        assert np.array_equal(z, enc.embed(x).data)
+        assert np.array_equal(z, encode_loop(enc, x))
 
 
 def test_embed_dimension_mismatch(config):
@@ -152,3 +158,33 @@ def test_classifier_checkpoint_round_trip(tmp_path):
         clf.weights.data.astype(np.float32), loaded.weights.data.astype(np.float32)
     )
     assert loaded.scale == 8.0
+
+
+def test_encode_and_embed_agree_on_a_nan_weight(config):
+    # A NaN weight reaches every row; the graph-free pass and the
+    # differentiable one must report it alike instead of one masking it.
+    enc = Encoder(config)
+    enc.weights[1].data[0, 0] = np.nan
+    x = np.random.default_rng(8).normal(size=(5, 6))
+    z, z_graph = enc.encode(x), enc.embed(x).data
+    assert not np.isfinite(z).any()
+    assert not np.isfinite(z_graph).any()
+    assert np.array_equal(z, z_graph, equal_nan=True)
+    assert np.array_equal(z, encode_loop(enc, x), equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "kind, layer, bad",
+    [("weight", 0, np.nan), ("bias", 2, np.inf)],
+    ids=["nan-weight", "inf-bias"],
+)
+def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, config, kind, layer, bad):
+    enc = Encoder(config)
+    if kind == "weight":
+        enc.weights[layer].data[1, 2] = bad
+    else:
+        enc.biases[layer].data[3] = bad
+    path = tmp_path / "enc.palw"
+    save_encoder(enc, path)
+    with pytest.raises(FormatError, match=rf"enc\.palw: non-finite {kind} value in layer {layer}"):
+        load_encoder(path)

@@ -1,8 +1,13 @@
 """Golden digests: the bytes every training entry point writes at a tiny
-config, and the episode accuracies of the trained encoders.
+config, the float64 losses it logs, and the episode accuracies of the trained
+encoders.
 
 ``golden/digests.json`` maps each checkpoint, metrics CSV and evaluation CSV
-(path relative to the output root) to its SHA-256. A refactor of the training code must
+(path relative to the output root) to its SHA-256. It also maps
+``{run}/rows_{role}.repr`` to the SHA-256 of the ``repr`` of every in-memory
+metrics row of that stage, one row per line: the CSVs round losses to 10
+digits and the checkpoints round weights to float32, so only these entries
+see a last-bit change in the float64 training arithmetic. A refactor of the training code must
 leave every digest unchanged; a change that sets out to alter numerics
 regenerates only the affected entries and says why in CHANGES.md::
 
@@ -54,15 +59,30 @@ EVAL_QUERIES = 5
 EVAL_EPISODES = 20
 
 
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _rows_digests(run: str, metrics: dict) -> dict[str, str]:
+    """``{run}/rows_{role}.repr`` -> digest of the repr of each logged row."""
+    return {
+        f"{run}/rows_{role}.repr": _sha256("\n".join(map(repr, log.rows)).encode())
+        for role, log in metrics.items()
+    }
+
+
 def produce(out: Path) -> dict[str, str]:
-    """Write every golden output under ``out`` and return their digests."""
+    """Write every golden output under ``out`` and return their digests, plus
+    the digests of every stage's float64 metrics rows."""
     dataset = generate_synthetic(SPEC)
     base = dataset.base
+    rows = {}
     for cap, fields in CAPS.items():
         for variant in Variant:
             cfg = replace(CFG, variant=variant, **fields)
             run_dir = out / cap / variant.value
             result = train_variant(base, cfg, aug=AUG, out_dir=run_dir, net=NET)
+            rows.update(_rows_digests(f"{cap}/{variant.value}", result.metrics))
             if cap != "uncapped":
                 continue
             for k in EVAL_SHOTS:
@@ -73,15 +93,20 @@ def produce(out: Path) -> dict[str, str]:
         cfg = replace(CFG, variant=variant)
         run_dir = out / "cli" / variant.value
         partner = None
+        metrics = {}
         if variant is not Variant.CE_ONLY:
             part = train_partner(base, cfg, aug=AUG, out_dir=run_dir, net=NET)
             partner = load_encoder(part.checkpoint).freeze()
-        train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, net=NET)
-    return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            metrics["partner"] = part.metrics
+        main = train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, net=NET)
+        metrics["main"] = main.metrics
+        rows.update(_rows_digests(f"cli/{variant.value}", metrics))
+    files = {
+        path.relative_to(out).as_posix(): _sha256(path.read_bytes())
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
+    return {**files, **rows}
 
 
 def test_training_outputs_match_golden_digests(tmp_path):

@@ -21,8 +21,11 @@ from pal.losses import (
     ct_loss,
     feat_align_loss,
     kl_loss,
+    kl_loss_batch,
     logit_align_loss,
+    logit_align_loss_batch,
     soft_cross_entropy,
+    soft_cross_entropy_batch,
     supct_loss,
 )
 
@@ -241,6 +244,14 @@ def test_soft_ce_hand_value():
 def test_soft_ce_shape_mismatch():
     with pytest.raises(ShapeError):
         soft_cross_entropy(np.array([0.5, 0.5]), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("loss", [kl_loss, kl_loss_batch])
+def test_kl_shape_mismatch(loss):
+    # A 1-D teacher must not broadcast over a batch of students.
+    p_s = softmax(Tensor(np.zeros((4, 3))))
+    with pytest.raises(ShapeError, match="teacher shape"):
+        loss(np.full(3, 1 / 3), p_s)
 
 
 def test_soft_label_validation():
@@ -511,3 +522,37 @@ def test_losses_are_nonnegative_on_random_inputs():
         assert float(ce_loss(Tensor(logits), 0)) >= -1e-12
         assert float(soft_cross_entropy(random_simplex(rng, c), Tensor(logits))) >= -1e-12
         assert float(kl_loss(random_simplex(rng, c), random_simplex(rng, c))) >= -1e-12
+
+
+_C = 12
+_TARGET = random_simplex(np.random.default_rng(21), _C)
+_CLF = CosineClassifier(_C, 4, scale=8.0, seed=1)
+_Z_PARTNER = random_unit_rows(np.random.default_rng(22), 1, 4)
+ONE_ROW_AND_BATCH = {
+    "ce_loss": (lambda t: ce_loss(t, 7), lambda t: ce_loss_batch(t, np.array([7]))),
+    "soft_cross_entropy": (
+        lambda t: soft_cross_entropy(SoftLabel(_TARGET), t),
+        lambda t: soft_cross_entropy_batch(_TARGET[None], t),
+    ),
+    "kl_loss": (
+        lambda t: kl_loss(SoftLabel(_TARGET), softmax(t)),
+        lambda t: kl_loss_batch(_TARGET[None], softmax(t)),
+    ),
+    "logit_align_loss": (
+        lambda t: logit_align_loss(_CLF, _Z_PARTNER[0], t, 0.5, x_class=2, x_prime_class=2),
+        lambda t: logit_align_loss_batch(_CLF, _Z_PARTNER, t, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ROW_AND_BATCH))
+def test_one_row_loss_is_its_batch_form_on_that_row(name):
+    one, batch = ONE_ROW_AND_BATCH[name]
+    logits = np.random.default_rng(23).normal(scale=3.0, size=_C)
+    row = Tensor(logits.copy(), requires_grad=True)
+    rows = Tensor(logits[None].copy(), requires_grad=True)
+    value, batch_value = one(row), batch(rows)
+    backward(value)
+    backward(batch_value)
+    assert np.array_equal(value.data, batch_value.data)
+    assert np.array_equal(row.grad, rows.grad[0])

@@ -19,12 +19,15 @@ from pal.core import (
     reduce_mean,
     reduce_sum,
     relu,
+    softmax,
     softmax_temperature,
     sub,
     take_rows,
 )
 from pal.core.gradcheck import max_relative_error
 from pal.exceptions import ContractError, DomainError, ParameterError, ShapeError
+
+from oracles import softmax_shifted_exp
 
 
 def test_add_componentwise():
@@ -224,3 +227,11 @@ def test_every_primitive_matches_finite_differences(seed):
     ]
     for fn, x0 in cases:
         assert max_relative_error(fn, x0, h=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), -1), ((4, 6), -1), ((4, 6), 0)])
+def test_softmax_matches_the_shifted_exp_form_bitwise(shape, axis):
+    x = np.random.default_rng(3).normal(scale=20.0, size=shape)
+    expected = softmax_shifted_exp(x, axis)
+    assert np.array_equal(softmax(x, axis=axis), expected)
+    assert np.array_equal(softmax(Tensor(x, requires_grad=True), axis=axis).data, expected)

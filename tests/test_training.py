@@ -9,6 +9,7 @@ from pal.core import Tensor
 from pal.data import SyntheticSpec, generate_synthetic
 from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
 from pal.exceptions import ContractError, DivergenceError, ParameterError
+from oracles import sgd_vanilla_loop
 from pal.training import (
     SGD,
     MetricsLogger,
@@ -326,3 +327,24 @@ def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant,
         f"{variant.value} {stage} stage diverged: {column} = nan at epoch 0, step 1"
     )
     assert not list(tmp_path.glob(f"*{stage}*"))
+
+
+@pytest.mark.parametrize("path", ["SGD.step", "sgd_step"])
+def test_sgd_momentum_zero_matches_the_vanilla_loop_bitwise(path):
+    rng = np.random.default_rng(9)
+    shapes = [(4, 3), (3,)]
+    start = [rng.normal(size=s) for s in shapes]
+    grads = [[rng.normal(size=s) for s in shapes] for _ in range(6)]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = SGD(params, momentum=0.0)
+    for step in grads:
+        for p, g in zip(params, step):
+            p.grad = g
+        if path == "SGD.step":
+            opt.step(lr=0.05, weight_decay=5e-4)
+        else:
+            sgd_step(params, lr=0.05, weight_decay=5e-4)
+    expected = [Tensor(a.copy()) for a in start]
+    sgd_vanilla_loop(expected, grads, lr=0.05, weight_decay=5e-4)
+    for p, e in zip(params, expected):
+        assert np.array_equal(p.data, e.data)
