@@ -98,6 +98,8 @@ def run_table(
     a worker) trains and evaluates on those arrays."""
     if table not in TABLE_VARIANTS:
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     base = load_dataset(base_path)
     novel = load_dataset(novel_path)
     out = Path(out_dir)

@@ -62,8 +62,6 @@ def _parse_hidden_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError:
         raise ParameterError(f"hidden_dims must be integers, got {text!r}") from None
-    if not dims:
-        raise ParameterError("hidden_dims must name at least one layer")
     return dims
 
 

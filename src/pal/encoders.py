@@ -37,6 +37,16 @@ CHECKPOINT_VERSION = 1
 NORM_EPS = 1e-12  # l2_normalize's default guard
 
 
+def check_shape(input_dim: int, hidden_dims: tuple[int, ...], embed_dim: int, min_input=1):
+    """Reject a network shape no encoder can have, naming the field."""
+    if input_dim < min_input:
+        raise ParameterError(f"input_dim must be >= {min_input}, got {input_dim}")
+    if not hidden_dims or min(hidden_dims) < 1:
+        raise ParameterError(f"hidden_dims must be one or more positive widths, got {hidden_dims}")
+    if embed_dim < 2:
+        raise ParameterError(f"embed_dim must be >= 2, got {embed_dim}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
@@ -46,13 +56,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        dims = (self.input_dim, *self.hidden_dims, self.embed_dim)
-        if any(d <= 0 for d in dims):
-            raise ParameterError(f"encoder dims must be positive, got {dims}")
-        if self.embed_dim < 2:
-            raise ParameterError(f"embed_dim must be >= 2, got {self.embed_dim}")
-        if not self.hidden_dims:
-            raise ParameterError("at least one hidden layer is required")
+        check_shape(self.input_dim, self.hidden_dims, self.embed_dim)
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

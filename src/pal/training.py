@@ -14,14 +14,14 @@ the cosine classifier's scale and, optionally, the input width the data must
 have. The trainers take it as one ``net=`` argument and build every encoder
 and classifier through it.
 
-Every stage runs on one engine. A stage is its models plus a per-batch
-``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
-data-order seed stream, batching, the non-finite loss check, the optimizer
-step under the lr schedule and the alignment warm-up, the metrics log, and
-the final float32 rounding), and ``_save`` alone decides the file layout of
-a run directory: ``{role}_encoder.palw``, ``{role}_classifier.palw`` and
-``metrics_{role}.csv``. The stage-two variants differ only in the objective
-terms ``_VARIANT_FLAGS`` switches on.
+Every stage runs on one engine. ``_OBJECTIVES`` is the one table of what
+each variant trains in its partner and main stages; ``_train_stage`` turns
+an entry into the stage's models and a per-batch ``loss_fn(batch, w) ->
+(roots, metrics_row)``; ``_fit`` owns the rest (the data-order seed stream,
+batching, the non-finite loss check, the optimizer step under the lr
+schedule and the alignment warm-up, the metrics log, and the final float32
+rounding), and ``_save`` alone decides the file layout of a run directory:
+``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``.
 
 One training run is a single logical writer over its model state; runs with
 distinct configs are fully independent (each derives every generator it uses
@@ -49,6 +49,7 @@ from .encoders import (
     CosineClassifier,
     Encoder,
     EncoderConfig,
+    check_shape,
     save_classifier,
     save_encoder,
 )
@@ -165,6 +166,7 @@ class NetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        check_shape(self.input_dim, self.hidden_dims, self.embed_dim, min_input=0)
         if not self.scale > 0:
             raise ParameterError(f"scale must be positive, got {self.scale}")
 
@@ -255,6 +257,9 @@ class MetricsLogger:
         self.rows: list[dict] = []
 
     def log(self, **kwargs) -> None:
+        unknown = sorted(set(kwargs) - set(METRIC_COLUMNS))
+        if unknown:
+            raise ContractError(f"MetricsLogger.log: unknown column(s) {unknown}")
         row = {col: kwargs.get(col, 0.0) for col in METRIC_COLUMNS}
         self.rows.append(row)
 
@@ -334,19 +339,16 @@ def quantize_to_storage(*models) -> None:
 
 
 @dataclass
-class PartnerResult:
-    encoder: Encoder
-    metrics: MetricsLogger
-    checkpoint: Path | None = None
-
-
-@dataclass
-class MainResult:
+class StageResult:
     encoder: Encoder
     classifier: CosineClassifier | None
     metrics: MetricsLogger
     encoder_checkpoint: Path | None = None
     classifier_checkpoint: Path | None = None
+
+    @property
+    def checkpoint(self) -> Path | None:
+        return self.encoder_checkpoint
 
 
 @dataclass
@@ -357,8 +359,6 @@ class VariantResult:
     partner: Encoder | None
     metrics: dict[str, MetricsLogger]
     encoder_checkpoint: Path | None = None
-    classifier_checkpoint: Path | None = None
-    partner_checkpoint: Path | None = None
 
 
 # Loss columns checked after every step, components before their total.
@@ -428,66 +428,133 @@ def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
     return enc_path, clf_path
 
 
+@dataclass(frozen=True)
+class _Objective:
+    """The loss terms of one stage, summed in field order; the contrastive
+    term is logged as ``loss_aux`` and the alignment weighted by the warm-up."""
+
+    ce: bool = False
+    feat: bool = False
+    align: str = "none"  # none | logit | kl
+    contrastive: str = "none"  # none | supct | ct
+
+    @property
+    def needs_partner(self) -> bool:
+        return self.feat or self.align != "none"
+
+
+_SUPCT = _Objective(contrastive="supct")
+_CE = _Objective(ce=True)
+_PAL = _Objective(ce=True, feat=True, align="logit")
+# Every variant's (partner, main) objectives. A CE partner is the CE_only main
+# stage run under ``_stage1_seed``; SupCT_only evaluates its partner; Mutual
+# trains two peers jointly in ``_train_mutual``.
+_OBJECTIVES = {
+    Variant.PAL: (_SUPCT, _PAL),
+    Variant.CE_ONLY: (None, _CE),
+    Variant.SUPCT_ONLY: (_SUPCT, None),
+    Variant.MULTITASK: (None, _Objective(ce=True, contrastive="supct")),
+    Variant.MUTUAL: (None, None),
+    # Contrastive second network anchored on a cross-entropy partner.
+    Variant.REVERSE: (_CE, _Objective(feat=True, contrastive="supct")),
+    Variant.PARTNER_CT: (_Objective(contrastive="ct"), _PAL),
+    Variant.PARTNER_CE: (_CE, _PAL),
+    Variant.PAL_LOGIT_ONLY: (_SUPCT, _Objective(ce=True, align="logit")),
+    Variant.PAL_FEAT_ONLY: (_SUPCT, _Objective(ce=True, feat=True)),
+    Variant.PAL_KL_LOGIT: (_SUPCT, _Objective(ce=True, align="kl")),
+    Variant.PAL_FEAT_KL: (_SUPCT, _Objective(ce=True, feat=True, align="kl")),
+}
+
+
+def _train_stage(
+    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir, net: NetConfig
+) -> StageResult:
+    """Train the ``stage`` ("partner" or "main") of ``cfg.variant`` under its
+    ``_OBJECTIVES`` entry: an encoder from the ``{stage}_init`` seed stream,
+    plus a cosine classifier from ``classifier_init`` when the objective has
+    CE. Each term is logged and added to the total as a per-instance mean."""
+    objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
+    if objective is None or (stage == "partner" and objective.ce):
+        raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
+    if objective.needs_partner and (partner is None or not partner.frozen):
+        raise ContractError(f"variant {cfg.variant.value} needs a frozen partner encoder")
+
+    streams = _seed_streams(cfg)
+    enc = net.encoder(base.dim, _seed_int(streams[f"{stage}_init"]))
+    class_list = np.sort(base.classes)
+    clf = None
+    if objective.ce:
+        clf = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
+    anchor_rng = np.random.default_rng(streams["anchors"])
+
+    def loss_fn(batch, w):
+        z = enc.embed(batch.inputs)
+        logits = clf.logits(z) if clf else None
+        # The anchors are the partner's embeddings of this batch, so a
+        # variant that samples them encodes the batch once.
+        if objective.feat:
+            anchors = sample_anchor_sets(
+                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
+            )
+            z_partner = anchors.features
+        elif objective.needs_partner:
+            z_partner = partner.encode(batch.inputs)
+
+        terms = {}
+        row = {"skipped_positive_instances": 0}
+        if objective.ce:
+            terms["loss_ce"] = ce_loss_batch(logits, np.searchsorted(class_list, batch.labels))
+        if objective.feat:
+            result = feat_align_loss(z, anchors, cfg.tau)
+            terms["loss_feat"] = result.loss
+            row["skipped_positive_instances"] += result.skipped
+        if objective.align == "logit":
+            terms["loss_logit"] = logit_align_loss_batch(
+                clf, z_partner[batch.view_map], logits, cfg.logit_temperature
+            )
+        elif objective.align == "kl":
+            p_t = softmax_temperature(clf.logits(z_partner), cfg.kl_temperature)
+            p_s = softmax_temperature(logits, cfg.kl_temperature)
+            terms["loss_logit"] = kl_loss_batch(p_t, p_s)
+        if objective.contrastive == "supct":
+            result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
+        elif objective.contrastive == "ct":
+            result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
+        if objective.contrastive != "none":
+            terms["loss_aux"] = result.loss
+            row["skipped_positive_instances"] += result.skipped
+
+        total = None
+        for column, loss in terms.items():
+            term = scale(loss, 1.0 / batch.size)
+            row[column] = float(term)
+            if column == "loss_logit":
+                term = scale(term, w)
+            total = term if total is None else total + term
+        row["loss_total"] = float(total)
+        return [total], row
+
+    models = [enc] if clf is None else [enc, clf]
+    metrics = _fit(base, cfg, aug, stage, models, loss_fn)
+    enc_path, clf_path = _save(out_dir, stage, enc, clf, metrics)
+    return StageResult(enc, clf, metrics, enc_path, clf_path)
+
+
 def train_partner(
     base: Split,
     cfg: TrainConfig,
     aug: AugmentConfig | None = None,
     out_dir=None,
     net: NetConfig = NetConfig(),
-) -> PartnerResult:
-    """Stage one: contrastive training of the partner encoder, under the
-    unsupervised CT objective for the ``Partner_CT`` row and SupCT
-    otherwise."""
+) -> StageResult:
+    """Stage one: contrastive training of the partner encoder under the
+    variant's partner objective (CT for ``Partner_CT``, SupCT otherwise)."""
     if len(base.classes) < 2:
         logger.warning(
             "train_partner: single-class data; every batch is all-positive and "
             "the contrastive objective is degenerate"
         )
-    enc = net.encoder(base.dim, _seed_int(_seed_streams(cfg)["partner_init"]))
-
-    def loss_fn(batch, w):
-        z = enc.embed(batch.inputs)
-        if cfg.variant == Variant.PARTNER_CT:
-            result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
-        else:
-            result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
-        total = scale(result.loss, 1.0 / batch.size)
-        return [total], dict(
-            loss_total=float(total),
-            skipped_positive_instances=result.skipped,
-            loss_aux=float(total),
-        )
-
-    metrics = _fit(base, cfg, aug, "partner", [enc], loss_fn)
-    checkpoint, _ = _save(out_dir, "partner", enc, metrics=metrics)
-    return PartnerResult(encoder=enc, metrics=metrics, checkpoint=checkpoint)
-
-
-@dataclass(frozen=True)
-class _MainFlags:
-    use_ce: bool = True
-    use_feat: bool = False
-    align: str = "none"  # none | logit | kl
-    aux_supct: bool = False
-
-    @property
-    def needs_partner(self) -> bool:
-        return self.use_feat or self.align != "none"
-
-
-_VARIANT_FLAGS = {
-    Variant.PAL: _MainFlags(use_feat=True, align="logit"),
-    Variant.PARTNER_CT: _MainFlags(use_feat=True, align="logit"),
-    Variant.PARTNER_CE: _MainFlags(use_feat=True, align="logit"),
-    Variant.PAL_LOGIT_ONLY: _MainFlags(align="logit"),
-    Variant.PAL_FEAT_ONLY: _MainFlags(use_feat=True),
-    Variant.PAL_KL_LOGIT: _MainFlags(align="kl"),
-    Variant.PAL_FEAT_KL: _MainFlags(use_feat=True, align="kl"),
-    Variant.CE_ONLY: _MainFlags(),
-    Variant.MULTITASK: _MainFlags(aux_supct=True),
-    # Contrastive second network anchored on a cross-entropy partner.
-    Variant.REVERSE: _MainFlags(use_ce=False, use_feat=True, aux_supct=True),
-}
+    return _train_stage(base, cfg, "partner", None, aug, out_dir, net)
 
 
 def train_main(
@@ -497,80 +564,10 @@ def train_main(
     aug: AugmentConfig | None = None,
     out_dir=None,
     net: NetConfig = NetConfig(),
-) -> MainResult:
-    """Stage two: train the main encoder (and classifier) under
-    ``L = L_CE + L_feat + w(epoch) * L_align`` per the active variant."""
-    if cfg.variant not in _VARIANT_FLAGS:
-        raise ParameterError(f"variant {cfg.variant.value} is not a main-encoder variant")
-    flags = _VARIANT_FLAGS[cfg.variant]
-    if flags.needs_partner:
-        if partner is None:
-            raise ContractError("this variant needs a partner encoder")
-        if not partner.frozen:
-            raise ContractError("the partner encoder must be frozen before main training")
-
-    streams = _seed_streams(cfg)
-    enc = net.encoder(base.dim, _seed_int(streams["main_init"]))
-    class_list = np.sort(base.classes)
-    clf = None
-    if flags.use_ce:
-        clf = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
-    anchor_rng = np.random.default_rng(streams["anchors"])
-
-    def loss_fn(batch, w):
-        per = 1.0 / batch.size
-        z_main = enc.embed(batch.inputs)
-        logits = clf.logits(z_main) if clf else None
-        total = Tensor(0.0)
-        row = {"skipped_positive_instances": 0}
-        # The anchors are the partner's embeddings of this batch, so a
-        # variant that samples them encodes the batch once.
-        if flags.use_feat:
-            anchors = sample_anchor_sets(
-                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
-            )
-            z_partner = anchors.features
-        elif flags.needs_partner:
-            z_partner = partner.encode(batch.inputs)
-
-        if flags.use_ce:
-            labels_idx = np.searchsorted(class_list, batch.labels)
-            l_ce = scale(ce_loss_batch(logits, labels_idx), per)
-            row["loss_ce"] = float(l_ce)
-            total = total + l_ce
-        if flags.use_feat:
-            result = feat_align_loss(z_main, anchors, cfg.tau)
-            l_feat = scale(result.loss, per)
-            row["loss_feat"] = float(l_feat)
-            row["skipped_positive_instances"] += result.skipped
-            total = total + l_feat
-        if flags.align == "logit":
-            l_align = scale(
-                logit_align_loss_batch(
-                    clf, z_partner[batch.view_map], logits, cfg.logit_temperature
-                ),
-                per,
-            )
-        elif flags.align == "kl":
-            p_t = softmax_temperature(clf.logits(z_partner), cfg.kl_temperature)
-            p_s = softmax_temperature(logits, cfg.kl_temperature)
-            l_align = scale(kl_loss_batch(p_t, p_s), per)
-        if flags.align != "none":
-            row["loss_logit"] = float(l_align)
-            total = total + scale(l_align, w)
-        if flags.aux_supct:
-            result = supct_loss(ContrastiveBatchView.supervised(z_main, batch.labels, cfg.tau))
-            l_aux = scale(result.loss, per)
-            row["loss_aux"] = float(l_aux)
-            row["skipped_positive_instances"] += result.skipped
-            total = total + l_aux
-        row["loss_total"] = float(total)
-        return [total], row
-
-    models = [enc] if clf is None else [enc, clf]
-    metrics = _fit(base, cfg, aug, "main", models, loss_fn)
-    enc_path, clf_path = _save(out_dir, "main", enc, clf, metrics)
-    return MainResult(enc, clf, metrics, enc_path, clf_path)
+) -> StageResult:
+    """Stage two: train the main encoder (and classifier) under the
+    variant's main objective, ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL."""
+    return _train_stage(base, cfg, "main", partner, aug, out_dir, net)
 
 
 def _train_mutual(
@@ -594,8 +591,8 @@ def _train_mutual(
         z_b = enc_b.embed(batch.inputs)
         logits_a = clf_a.logits(z_a)
         logits_b = clf_b.logits(z_b)
-        p_a_const = softmax_temperature(clf_a.logits(z_a.data), 1.0)
-        p_b_const = softmax_temperature(clf_b.logits(z_b.data), 1.0)
+        p_a_const = softmax_temperature(logits_a.data, 1.0)
+        p_b_const = softmax_temperature(logits_b.data, 1.0)
 
         supct_result = supct_loss(ContrastiveBatchView.supervised(z_a, batch.labels, cfg.tau))
         l_supct = scale(supct_result.loss, per)
@@ -616,7 +613,7 @@ def _train_mutual(
         )
 
     metrics = _fit(base, cfg, aug, "main", [enc_a, clf_a, enc_b, clf_b], loss_fn)
-    enc_path, clf_path = _save(out_dir, "main", enc_b, clf_b, metrics)
+    enc_path, _ = _save(out_dir, "main", enc_b, clf_b, metrics)
     _save(out_dir, "peer", enc_a)
     return VariantResult(
         variant=cfg.variant,
@@ -625,7 +622,6 @@ def _train_mutual(
         partner=enc_a,
         metrics={"main": metrics},
         encoder_checkpoint=enc_path,
-        classifier_checkpoint=clf_path,
     )
 
 
@@ -655,10 +651,11 @@ def train_variant(
             encoder_checkpoint=enc_path,
         )
 
-    partner = partner_path = None
+    first = _OBJECTIVES[variant][0]
+    partner = None
     metrics = {}
-    if _VARIANT_FLAGS[variant].needs_partner:
-        if variant in (Variant.PARTNER_CE, Variant.REVERSE):
+    if first is not None:
+        if first.ce:
             # A cross-entropy partner, trained under its own derived seed so
             # the two networks share neither init nor batch order.
             ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
@@ -667,7 +664,7 @@ def train_variant(
             stage1 = train_partner(base, cfg, aug=aug, net=net)
         partner = stage1.encoder.freeze()
         metrics["partner"] = stage1.metrics
-        partner_path, _ = _save(out_dir, "partner", partner, metrics=stage1.metrics)
+        _save(out_dir, "partner", partner, metrics=stage1.metrics)
 
     main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
     metrics["main"] = main.metrics
@@ -678,6 +675,4 @@ def train_variant(
         partner=partner,
         metrics=metrics,
         encoder_checkpoint=main.encoder_checkpoint,
-        classifier_checkpoint=main.classifier_checkpoint,
-        partner_checkpoint=partner_path,
     )

@@ -149,6 +149,26 @@ def test_bad_classifier_scale_fails_before_training(data_dir, tmp_path, capsys):
     assert not run.exists() or not any(run.iterdir())
 
 
+@pytest.mark.parametrize("args, field", [
+    (["--set", "encoder.scale=0"], "scale"),
+    (["--set", "encoder.embed_dim=1"], "embed_dim"),
+    (["--set", "encoder.hidden_dims=0"], "hidden_dims"),
+    (["--set", "encoder.input_dim=-3"], "input_dim"),
+    (["--jobs", "0"], "jobs"),
+    (["--jobs", "-2"], "jobs"),
+], ids=["scale=0", "embed_dim=1", "hidden_dims=0", "input_dim=-3", "jobs=0", "jobs=-2"])
+def test_ablate_bad_input_fails_before_output(data_dir, tmp_path, capsys, args, field):
+    out = tmp_path / "grid"
+    code = main(["ablate", "--table", "5",
+                 "--base", str(data_dir / "base.pald"),
+                 "--data", str(data_dir / "novel.pald"),
+                 "--out", str(out), "--episodes", "5", *TRAIN_TINY, *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pal: error: {field} must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ablate_table3_scheme_list(data_dir, tmp_path):
     out = tmp_path / "grid3"
     assert main(["ablate", "--table", "3", "--seed", "7",

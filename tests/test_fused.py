@@ -258,4 +258,4 @@ def test_training_step_graph_sizes(monkeypatch):
     assert max(sizes) <= 3
     train_variant(base, cfg, net=net)
     main_sizes = sizes[2 * partner_steps:]
-    assert main_sizes and max(main_sizes) <= 12
+    assert main_sizes and max(main_sizes) <= 11

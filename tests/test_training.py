@@ -1,6 +1,8 @@
 """Optimizer, schedules, and the training pipelines."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from pal.training import (
     TrainConfig,
     Variant,
     WarmupSchedule,
+    _stage1_seed,
     lr_at,
     sgd_step,
     train_main,
@@ -129,6 +132,9 @@ def test_metrics_logger_csv_schema(tmp_path):
         "epoch,step,lr,loss_total,loss_ce,loss_feat,loss_logit,w_logit,"
         "skipped_positive_instances,loss_aux"
     )
+    with pytest.raises(ContractError, match="loss_cee"):
+        log.log(epoch=0, step=2, loss_cee=1.0)
+    assert len(log.rows) == 1
 
 
 def test_train_partner_loss_decreases_and_roundtrips(tmp_path, tiny_base):
@@ -230,6 +236,58 @@ def test_train_main_variant_components(tiny_base):
     assert by_variant[Variant.PAL_KL_LOGIT]["loss_logit"] != pytest.approx(
         by_variant[Variant.PAL_LOGIT_ONLY]["loss_logit"]
     )
+
+
+def test_train_variant_stage_sequence(tiny_base, monkeypatch):
+    """Which stage trainers each variant runs, under which variant and seed;
+    a CE partner is the CE_only main stage under the derived stage-one seed."""
+    import pal.training
+
+    calls = []
+    for name in ("train_partner", "train_main", "_train_mutual"):
+        real = getattr(pal.training, name)
+
+        def record(base, cfg, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, cfg.variant, cfg.seed))
+            return _real(base, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(pal.training, name, record)
+    cfg = replace(TINY_CFG, epochs=1, lr_decay_epoch=1, warmup_epochs=0, seed=9)
+    s, s1 = cfg.seed, _stage1_seed(cfg)
+    partner, main = "train_partner", "train_main"
+
+    def pal_like(v):
+        return [(partner, v, s), (main, v, s)]
+
+    expected = {
+        Variant.PAL: pal_like(Variant.PAL),
+        Variant.CE_ONLY: [(main, Variant.CE_ONLY, s)],
+        Variant.SUPCT_ONLY: [(partner, Variant.SUPCT_ONLY, s)],
+        Variant.MULTITASK: [(main, Variant.MULTITASK, s)],
+        Variant.MUTUAL: [("_train_mutual", Variant.MUTUAL, s)],
+        Variant.REVERSE: [(main, Variant.CE_ONLY, s1), (main, Variant.REVERSE, s)],
+        Variant.PARTNER_CT: pal_like(Variant.PARTNER_CT),
+        Variant.PARTNER_CE: [(main, Variant.CE_ONLY, s1), (main, Variant.PARTNER_CE, s)],
+        Variant.PAL_LOGIT_ONLY: pal_like(Variant.PAL_LOGIT_ONLY),
+        Variant.PAL_FEAT_ONLY: pal_like(Variant.PAL_FEAT_ONLY),
+        Variant.PAL_KL_LOGIT: pal_like(Variant.PAL_KL_LOGIT),
+        Variant.PAL_FEAT_KL: pal_like(Variant.PAL_FEAT_KL),
+    }
+    assert set(expected) == set(Variant) and s1 != s
+    for variant, sequence in expected.items():
+        calls.clear()
+        train_variant(tiny_base, replace(cfg, variant=variant), aug=AUG)
+        assert calls == sequence, variant
+
+
+def test_stage_without_objective_is_refused(tiny_base):
+    cfg = replace(TINY_CFG, epochs=1, lr_decay_epoch=1, warmup_epochs=0)
+    for variant in (Variant.CE_ONLY, Variant.MULTITASK, Variant.MUTUAL, Variant.PARTNER_CE):
+        with pytest.raises(ParameterError, match="no partner stage"):
+            train_partner(tiny_base, replace(cfg, variant=variant), aug=AUG)
+    for variant in (Variant.SUPCT_ONLY, Variant.MUTUAL):
+        with pytest.raises(ParameterError, match="no main stage"):
+            train_main(tiny_base, replace(cfg, variant=variant), aug=AUG)
 
 
 def test_train_variant_ce_only_and_multitask(tiny_base):
