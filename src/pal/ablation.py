@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .batching import AugmentConfig
 from .data import atomic_write, load_dataset
-from .episodes import evaluate
+from .episodes import episode_pool, evaluate
 from .exceptions import ParameterError
 from .training import NetConfig, TrainConfig, Variant, eval_seed, train_variant
 
@@ -95,13 +95,19 @@ def run_table(
     its path. All rows share the config seed, so they are directly
     comparable; isolation between rows is per-run state only. Each split is
     read once, before anything is written, and every row (in process or in
-    a worker) trains and evaluates on those arrays."""
+    a worker) trains and evaluates on those arrays. Evaluation settings the
+    novel split cannot serve are refused before anything is trained or
+    written."""
     if table not in TABLE_VARIANTS:
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    if episodes < 1:
+        raise ParameterError(f"episodes must be >= 1, got {episodes}")
     base = load_dataset(base_path)
     novel = load_dataset(novel_path)
+    for k in SHOTS:
+        episode_pool(novel, WAYS, k, q)  # a bad q or too small a split fails before training
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_one = partial(_run_one, base=base, novel=novel, aug=aug, net=net,

@@ -8,6 +8,13 @@ into the split, plus gathers from the cached embeddings. Each episode draws
 from its own generator stream split off the evaluation seed, so the report
 does not depend on evaluation order and repeated runs with one seed are
 identical.
+
+Evaluation draws, then scores, blocks of :data:`BLOCK` episodes: it spawns
+the block's streams, draws each episode's rows into one index array, and
+scores the whole block with one gather, one :func:`prototypes` call, one
+stacked cosine product and one argmax. Spawning block by block yields the
+same streams as one spawn for every episode, and the working set is one
+block, so memory stays flat in the episode count.
 """
 from __future__ import annotations
 
@@ -19,6 +26,9 @@ import numpy as np
 from .core import l2_normalize
 from .data import Split, atomic_write
 from .exceptions import CapacityError, ContractError, ParameterError
+
+# Episodes drawn, then scored, together by :func:`evaluate`.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,9 @@ class EpisodePool:
 def episode_pool(novel: Split, n: int, k: int, q: int) -> EpisodePool:
     """Group ``novel`` by class and check that ``n`` classes can each give
     ``k`` support and ``q`` query rows."""
-    if n < 1 or k < 1 or q < 1:
-        raise ParameterError(f"n, k, q must be >= 1, got {(n, k, q)}")
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
     order = np.argsort(novel.y, kind="stable")
     classes, starts, counts = np.unique(novel.y[order], return_index=True, return_counts=True)
     keep = counts >= k + q
@@ -56,19 +67,29 @@ def episode_pool(novel: Split, n: int, k: int, q: int) -> EpisodePool:
 @dataclass
 class Episode:
     classes: np.ndarray  # (n,) novel class ids
-    support_rows: np.ndarray  # (n*k,) row indices into ``x``, k per class in class order
-    support_y: np.ndarray  # (n*k,) positions into ``classes``
-    query_rows: np.ndarray  # (n*q,) row indices into ``x``, q per class in class order
-    query_y: np.ndarray  # (n*q,) positions into ``classes``
+    rows: np.ndarray  # (n, k + q) row indices into ``x``: per class, k support then q query
+    k: int
     x: np.ndarray = field(repr=False)  # the split's rows, shared, not copied
 
     @property
     def support_x(self) -> np.ndarray:
-        return self.x[self.support_rows].astype(np.float64)
+        """(n*k, dim) support rows, k per class in class order."""
+        return self.x[self.rows[:, : self.k].ravel()].astype(np.float64)
 
     @property
     def query_x(self) -> np.ndarray:
-        return self.x[self.query_rows].astype(np.float64)
+        """(n*q, dim) query rows, q per class in class order."""
+        return self.x[self.rows[:, self.k :].ravel()].astype(np.float64)
+
+    @property
+    def support_y(self) -> np.ndarray:
+        """(n*k,) positions into ``classes``."""
+        return np.repeat(np.arange(len(self.classes)), self.k)
+
+    @property
+    def query_y(self) -> np.ndarray:
+        """(n*q,) positions into ``classes``."""
+        return np.repeat(np.arange(len(self.classes)), self.rows.shape[1] - self.k)
 
 
 @dataclass
@@ -100,30 +121,26 @@ def sample_episode(
     the same ``n``, ``k`` and ``q``."""
     pool = novel if isinstance(novel, EpisodePool) else episode_pool(novel, n, k, q)
     chosen = rng.choice(pool.eligible, size=n, replace=False)
-    picked = np.stack(
-        [rng.choice(pool.rows[c], size=k + q, replace=False) for c in chosen.tolist()]
-    )
-    return Episode(
-        classes=chosen,
-        support_rows=picked[:, :k].ravel(),
-        support_y=np.repeat(np.arange(n), k),
-        query_rows=picked[:, k:].ravel(),
-        query_y=np.repeat(np.arange(n), q),
-        x=pool.x,
-    )
+    rows = np.empty((n, k + q), dtype=np.intp)
+    for i, c in enumerate(chosen.tolist()):
+        rows[i] = rng.choice(pool.rows[c], size=k + q, replace=False)
+    return Episode(classes=chosen, rows=rows, k=k, x=pool.x)
 
 
 def prototypes(z_support: np.ndarray, support_y: np.ndarray, n: int) -> np.ndarray:
     """Per-class mean of the support embeddings, then L2-normalized. The rows
-    come k per class in class order, as :func:`sample_episode` lays them out."""
+    come k per class in class order, as :func:`sample_episode` lays them out.
+
+    ``z_support`` is ``(n*k, d)``, or ``(..., n*k, d)`` for a stack of
+    episodes that share ``support_y``; the result is ``(..., n, d)``."""
     z = np.asarray(z_support, dtype=np.float64)
-    k = len(z) // n
+    k = z.shape[-2] // n
     if k == 0 or not np.array_equal(support_y, np.repeat(np.arange(n), k)):
         raise ContractError(
             f"prototypes need k >= 1 support rows for each of the {n} classes, "
             "grouped in class order"
         )
-    return l2_normalize(z.reshape(n, k, -1).mean(axis=1), axis=-1)
+    return l2_normalize(z.reshape(*z.shape[:-2], n, k, z.shape[-1]).mean(axis=-2), axis=-1)
 
 
 def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
@@ -149,13 +166,18 @@ def evaluate(
         rng = np.random.default_rng(0 if rng is None else int(rng))
     pool = episode_pool(novel, n, k, q)
     z = enc.encode(novel.x)
-    streams = rng.spawn(episodes)
+    support_y = np.repeat(np.arange(n), k)
+    query_y = np.repeat(np.arange(n), q)
+    rows = np.empty((BLOCK, n, k + q), dtype=np.intp)
     accs: list[float] = []
-    for stream in streams:
-        episode = sample_episode(pool, n, k, q, stream)
-        protos = prototypes(z[episode.support_rows], episode.support_y, n)
-        pred = np.argmax(z[episode.query_rows] @ protos.T, axis=1)
-        accs.append(float(np.mean(pred == episode.query_y)))
+    for start in range(0, episodes, BLOCK):
+        streams = rng.spawn(min(BLOCK, episodes - start))
+        for i, stream in enumerate(streams):
+            rows[i] = sample_episode(pool, n, k, q, stream).rows
+        b = len(streams)
+        protos = prototypes(z[rows[:b, :, :k]].reshape(b, n * k, -1), support_y, n)
+        sims = z[rows[:b, :, k:]].reshape(b, n * q, -1) @ protos.transpose(0, 2, 1)
+        accs += (np.argmax(sims, axis=-1) == query_y).mean(axis=-1).tolist()
     per_episode = np.asarray(accs)
     mean = float(per_episode.mean())
     if episodes > 1:

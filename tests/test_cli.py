@@ -156,7 +156,10 @@ def test_bad_classifier_scale_fails_before_training(data_dir, tmp_path, capsys):
     (["--set", "encoder.input_dim=-3"], "input_dim"),
     (["--jobs", "0"], "jobs"),
     (["--jobs", "-2"], "jobs"),
-], ids=["scale=0", "embed_dim=1", "hidden_dims=0", "input_dim=-3", "jobs=0", "jobs=-2"])
+    (["--episodes", "0"], "episodes"),
+    (["--q", "0"], "q"),
+], ids=["scale=0", "embed_dim=1", "hidden_dims=0", "input_dim=-3", "jobs=0", "jobs=-2",
+        "episodes=0", "q=0"])
 def test_ablate_bad_input_fails_before_output(data_dir, tmp_path, capsys, args, field):
     out = tmp_path / "grid"
     code = main(["ablate", "--table", "5",
@@ -166,6 +169,21 @@ def test_ablate_bad_input_fails_before_output(data_dir, tmp_path, capsys, args, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"pal: error: {field} must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, need", [(30, 31), (20, 25)])
+def test_ablate_split_too_small_fails_before_output(data_dir, tmp_path, capsys, q, need):
+    # 24 rows per novel class: q = 20 fills a 1-shot episode but not a 5-shot one.
+    out = tmp_path / "grid"
+    code = main(["ablate", "--table", "5",
+                 "--base", str(data_dir / "base.pald"),
+                 "--data", str(data_dir / "novel.pald"),
+                 "--out", str(out), "--episodes", "5", "--q", str(q), *TRAIN_TINY])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pal: error: episode needs 5 classes with >= {need} items")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

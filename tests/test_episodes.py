@@ -1,9 +1,12 @@
 """Episode sampling, prototypes, classification, evaluation reports."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pal.episodes
 from pal.data import Split, SyntheticSpec, generate_synthetic
 from pal.encoders import Encoder, EncoderConfig
 from pal.episodes import classify_query, evaluate, prototypes, sample_episode
@@ -133,6 +136,12 @@ def test_prototypes_match_class_loop_exactly():
         z = rng.normal(size=(n * k, d))
         y = np.repeat(np.arange(n), k)
         np.testing.assert_array_equal(prototypes(z, y, n), prototypes_loop(z, y, n))
+        # A stack of episodes gives each episode's prototypes bit for bit.
+        stack = rng.normal(size=(rng.integers(1, 70), n * k, d))
+        protos = prototypes(stack, y, n)
+        assert protos.shape == (len(stack), n, d)
+        for z_episode, p_episode in zip(stack, protos):
+            np.testing.assert_array_equal(p_episode, prototypes(z_episode, y, n))
 
 
 def test_classify_query_self_match():
@@ -231,14 +240,24 @@ def test_prototype_converges_toward_class_mean(novel):
     assert avg_dist[0] >= avg_dist[1] >= avg_dist[2]
 
 
-@pytest.mark.parametrize("n,k,q", [(2, 1, 3), (3, 5, 4), (4, 2, 6), (5, 1, 1), (2, 5, 10)])
-def test_evaluate_matches_per_episode_loop(n, k, q):
+@pytest.mark.parametrize(
+    "n,k,q", [(2, 1, 3), (3, 5, 4), (4, 2, 6), (5, 1, 1), (2, 5, 10), (8, 5, 6)]
+)
+def test_evaluate_matches_per_episode_loop(monkeypatch, n, k, q):
     # Classes of 7 and 9 rows are too small for some (k, q); the rest vary.
-    split = uneven_split([30, 7, 25, 12, 40, 9, 18])
+    # Episode counts straddle the block size that evaluate draws and scores.
+    split = uneven_split([30, 7, 25, 12, 40, 9, 18, 22, 14, 11])
     enc = Encoder(EncoderConfig(input_dim=split.dim, hidden_dims=(16,), embed_dim=8, seed=2))
+    calls = []
+    draw = pal.episodes.sample_episode
+    monkeypatch.setattr(pal.episodes, "sample_episode", lambda *a: calls.append(a) or draw(*a))
+    assert pal.episodes.BLOCK == 64
     for seed in (0, 7, 20260808):
-        report = evaluate(enc, split, n=n, k=k, q=q, episodes=12, rng=seed)
-        assert report.per_episode == evaluate_loop(enc, split, n, k, q, 12, seed)
+        for episodes in (1, 12, 63, 64, 65, 130):
+            calls.clear()
+            report = evaluate(enc, split, n=n, k=k, q=q, episodes=episodes, rng=seed)
+            assert report.per_episode == evaluate_loop(enc, split, n, k, q, episodes, seed)
+            assert len(calls) == episodes
 
 
 def test_evaluate_encodes_the_split_once():
@@ -258,3 +277,19 @@ def test_evaluate_rejects_before_encoding():
     with pytest.raises(ParameterError):
         evaluate(enc, split, n=3, k=0, q=5, episodes=10, rng=0)
     assert enc.calls == 0
+
+
+def test_evaluate_memory_flat_in_episode_count():
+    # Spawning every episode's generator at once held about 1 kB per episode.
+    split = uneven_split([30, 12, 25, 14, 40, 11, 18, 22])
+    enc = Encoder(EncoderConfig(input_dim=split.dim, hidden_dims=(16,), embed_dim=8, seed=0))
+
+    def peak(episodes):
+        tracemalloc.start()
+        try:
+            evaluate(enc, split, n=5, k=1, q=5, episodes=episodes, rng=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) - peak(200) < 1_000_000
