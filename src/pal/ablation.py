@@ -2,8 +2,11 @@
 comparison, and alignment-loss comparison, each emitted as one CSV whose
 rows are named exactly by variant.
 
-Grid entries are fully isolated runs (own seed streams, own output files),
-so ``jobs > 1`` executes them in worker processes without shared state.
+Grid entries are isolated runs (own seed streams, own output files) that
+share only read-only inputs: the two splits, and one episode set per shot,
+drawn once per grid. Every row evaluates under the same seed, so every row
+is scored on the same episodes, and ``jobs > 1`` executes rows in worker
+processes that get those inputs as arguments.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from .batching import AugmentConfig
 from .data import atomic_write, load_dataset
-from .episodes import episode_pool, evaluate
+from .episodes import draw_episodes, evaluate
 from .exceptions import ParameterError
 from .training import NetConfig, TrainConfig, Variant, eval_seed, train_variant
 
@@ -65,17 +68,15 @@ class AblationRow:
 ROW_COLUMNS = tuple(f.name for f in fields(AblationRow))
 
 
-def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, q, episodes) -> AblationRow:
+def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, q, drawn) -> AblationRow:
     run_dir = Path(out_dir) / cfg.variant.value
     result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net)
     stats = []
     for k in SHOTS:
-        report = evaluate(
-            result.encoder, novel, n=WAYS, k=k, q=q, episodes=episodes, rng=eval_seed(cfg)
-        )
+        report = evaluate(result.encoder, novel, n=WAYS, k=k, q=q, episodes=drawn[k])
         report.to_csv(run_dir / f"eval_{WAYS}way_{k}shot.csv")
         stats += [report.mean_accuracy, report.ci95]
-    return AblationRow(cfg.variant.value, episodes, *stats)
+    return AblationRow(cfg.variant.value, report.episodes, *stats)
 
 
 def run_table(
@@ -94,24 +95,22 @@ def run_table(
     (``{variant}/eval_5way_{k}shot.csv``); write ``tableN.csv`` and return
     its path. All rows share the config seed, so they are directly
     comparable; isolation between rows is per-run state only. Each split is
-    read once, before anything is written, and every row (in process or in
-    a worker) trains and evaluates on those arrays. Evaluation settings the
-    novel split cannot serve are refused before anything is trained or
-    written."""
+    read once and each shot's episodes are drawn once (under
+    ``eval_seed(cfg)``), before anything is written, and every row (in
+    process or in a worker) trains on those arrays and is scored on those
+    episodes. Evaluation settings the novel split cannot serve thus fail
+    before anything is trained or written."""
     if table not in TABLE_VARIANTS:
         raise ParameterError(f"table must be one of {sorted(TABLE_VARIANTS)}, got {table}")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if episodes < 1:
-        raise ParameterError(f"episodes must be >= 1, got {episodes}")
     base = load_dataset(base_path)
     novel = load_dataset(novel_path)
-    for k in SHOTS:
-        episode_pool(novel, WAYS, k, q)  # a bad q or too small a split fails before training
+    drawn = {k: draw_episodes(novel, WAYS, k, q, episodes, eval_seed(cfg)) for k in SHOTS}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_one = partial(_run_one, base=base, novel=novel, aug=aug, net=net,
-                      out_dir=out, q=q, episodes=episodes)
+                      out_dir=out, q=q, drawn=drawn)
     cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,20 +1,26 @@
 """Episode sampling, prototype classification, and accuracy aggregation.
 
-The encoder is read-only during evaluation, so :func:`evaluate` does every
-per-split step once per call: it groups the novel rows by class, checks that
-enough classes can fill an episode, and encodes the whole split in a single
-``encode``. An episode is then only its random draws, which pick row indices
-into the split, plus gathers from the cached embeddings. Each episode draws
-from its own generator stream split off the evaluation seed, so the report
-does not depend on evaluation order and repeated runs with one seed are
-identical.
+Evaluation draws, then scores. :func:`draw_episodes` draws a split's
+episodes once into an :class:`EpisodeSet`: one ``(E, n, k + q)`` int32
+array of row indices into the split (per episode and class, k support then
+q query rows), with ``n``, ``k``, ``q``, the split's row count and each
+episode's class ids. Each episode draws from its own generator stream split
+off the evaluation seed, so the draws do not depend on evaluation order and
+repeated runs with one seed are identical. Streams are spawned block by
+block, :data:`BLOCK` episodes at a time, which yields the same streams as one
+spawn for every episode while only one block's generators are alive.
 
-Evaluation draws, then scores, blocks of :data:`BLOCK` episodes: it spawns
-the block's streams, draws each episode's rows into one index array, and
-scores the whole block with one gather, one :func:`prototypes` call, one
-stacked cosine product and one argmax. Spawning block by block yields the
-same streams as one spawn for every episode, and the working set is one
-block, so memory stays flat in the episode count.
+The encoder is read-only during evaluation, so :func:`evaluate` encodes the
+whole split once per call and scores blocks of :data:`BLOCK` episodes with
+one gather, one :func:`prototypes` call, one stacked cosine product and one
+argmax. Given an episode count it draws each block just before scoring it,
+so memory stays flat in the episode count. Given an :class:`EpisodeSet` it
+draws nothing and scores slices of the set, so every encoder evaluated on
+one set (all rows of an ablation grid) is scored on the same episodes. A
+set only holds row indices, so :func:`evaluate` refuses, before it encodes
+anything, a set whose ``n``, ``k`` or ``q`` differ from its arguments or
+whose rows do not carry the set's class ids in the split it is given: such
+a set would silently score the wrong rows.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from .core import l2_normalize
 from .data import Split, atomic_write
 from .exceptions import CapacityError, ContractError, ParameterError
 
-# Episodes drawn, then scored, together by :func:`evaluate`.
+# Episodes spawned and drawn together, and scored together by :func:`evaluate`.
 BLOCK = 64
 
 
@@ -44,10 +50,11 @@ class EpisodePool:
 
 def episode_pool(novel: Split, n: int, k: int, q: int) -> EpisodePool:
     """Group ``novel`` by class and check that ``n`` classes can each give
-    ``k`` support and ``q`` query rows."""
-    for name, value in (("n", n), ("k", k), ("q", q)):
-        if value < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")
+    ``k`` support and ``q`` query rows. A 1-way episode always scores 1.0,
+    so ``n`` must be at least 2."""
+    for name, value, least in (("n", n, 2), ("k", k, 1), ("q", q, 1)):
+        if value < least:
+            raise ParameterError(f"{name} must be >= {least}, got {value}")
     order = np.argsort(novel.y, kind="stable")
     classes, starts, counts = np.unique(novel.y[order], return_index=True, return_counts=True)
     keep = counts >= k + q
@@ -90,6 +97,20 @@ class Episode:
     def query_y(self) -> np.ndarray:
         """(n*q,) positions into ``classes``."""
         return np.repeat(np.arange(len(self.classes)), self.rows.shape[1] - self.k)
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeSet:
+    """Episodes drawn once by :func:`draw_episodes`, for scoring any number
+    of encoders on one split; :func:`draw_episodes` makes its arrays
+    read-only."""
+
+    rows: np.ndarray = field(repr=False)  # (E, n, k + q) int32 row indices into the split
+    classes: np.ndarray = field(repr=False)  # (E, n) each episode's class ids
+    n: int
+    k: int
+    q: int
+    split_rows: int  # row count of the split the rows index
 
 
 @dataclass
@@ -150,38 +171,97 @@ def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
     return int(np.argmax(protos @ np.asarray(z_q, dtype=np.float64)))
 
 
+def _generator(rng: np.random.Generator | int | None) -> np.random.Generator:
+    if rng is None or isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(0 if rng is None else int(rng))
+    return rng
+
+
+def _check_count(episodes: int) -> None:
+    if episodes < 1:
+        raise ParameterError(f"episodes must be >= 1, got {episodes}")
+
+
+def _draw_into(rows: np.ndarray, pool: EpisodePool, n: int, k: int, q: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Fill ``rows`` (b, n, k + q) with the next b episodes of ``rng``, one
+    spawned stream each, and return it."""
+    for i, stream in enumerate(rng.spawn(len(rows))):
+        rows[i] = sample_episode(pool, n, k, q, stream).rows
+    return rows
+
+
+def draw_episodes(
+    novel: Split,
+    n: int,
+    k: int,
+    q: int,
+    episodes: int,
+    rng: np.random.Generator | int | None = None,
+) -> EpisodeSet:
+    """The ``episodes`` episodes that :func:`evaluate` with the same
+    arguments would draw, drawn once, in the same order."""
+    _check_count(episodes)
+    pool = episode_pool(novel, n, k, q)
+    rng = _generator(rng)
+    rows = np.empty((episodes, n, k + q), dtype=np.int32)
+    for start in range(0, episodes, BLOCK):
+        _draw_into(rows[start : start + BLOCK], pool, n, k, q, rng)
+    classes = novel.y[rows[:, :, 0]]
+    rows.flags.writeable = classes.flags.writeable = False
+    return EpisodeSet(rows=rows, classes=classes, n=n, k=k, q=q, split_rows=len(novel.y))
+
+
+def _check_drawn_from(drawn: EpisodeSet, novel: Split, n: int, k: int, q: int) -> None:
+    if (drawn.n, drawn.k, drawn.q) != (n, k, q):
+        raise ContractError(
+            f"episode set is {drawn.n}-way {drawn.k}-shot with {drawn.q} queries; "
+            f"evaluate was asked for {n}-way {k}-shot with {q}"
+        )
+    if drawn.split_rows != len(novel.y) or not np.array_equal(
+        novel.y[drawn.rows], np.broadcast_to(drawn.classes[:, :, None], drawn.rows.shape)
+    ):
+        raise ContractError("episode set was drawn from another split")
+
+
 def evaluate(
     enc,
     novel: Split,
     n: int = 5,
     k: int = 1,
     q: int = 15,
-    episodes: int = 600,
+    episodes: int | EpisodeSet = 600,
     rng: np.random.Generator | int | None = None,
 ) -> EvalReport:
-    """Mean episode accuracy with a 95% normal-approximation interval."""
-    if episodes < 1:
-        raise ParameterError(f"episodes must be >= 1, got {episodes}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
-    pool = episode_pool(novel, n, k, q)
+    """Mean episode accuracy with a 95% normal-approximation interval.
+
+    ``episodes`` is a count, whose episodes are drawn from ``rng`` block by
+    block, or an :class:`EpisodeSet` drawn from ``novel`` for the same
+    ``n``, ``k`` and ``q``, which is scored as it is (``rng`` is unused)."""
+    if isinstance(episodes, EpisodeSet):
+        _check_drawn_from(episodes, novel, n, k, q)
+        count = len(episodes.rows)
+    else:
+        count, pool, rng = episodes, episode_pool(novel, n, k, q), _generator(rng)
+        buffer = np.empty((BLOCK, n, k + q), dtype=np.intp)
+    _check_count(count)
     z = enc.encode(novel.x)
     support_y = np.repeat(np.arange(n), k)
     query_y = np.repeat(np.arange(n), q)
-    rows = np.empty((BLOCK, n, k + q), dtype=np.intp)
     accs: list[float] = []
-    for start in range(0, episodes, BLOCK):
-        streams = rng.spawn(min(BLOCK, episodes - start))
-        for i, stream in enumerate(streams):
-            rows[i] = sample_episode(pool, n, k, q, stream).rows
-        b = len(streams)
-        protos = prototypes(z[rows[:b, :, :k]].reshape(b, n * k, -1), support_y, n)
-        sims = z[rows[:b, :, k:]].reshape(b, n * q, -1) @ protos.transpose(0, 2, 1)
+    for start in range(0, count, BLOCK):
+        b = min(BLOCK, count - start)
+        if isinstance(episodes, EpisodeSet):
+            rows = episodes.rows[start : start + b]
+        else:
+            rows = _draw_into(buffer[:b], pool, n, k, q, rng)
+        protos = prototypes(z[rows[:, :, :k]].reshape(b, n * k, -1), support_y, n)
+        sims = z[rows[:, :, k:]].reshape(b, n * q, -1) @ protos.transpose(0, 2, 1)
         accs += (np.argmax(sims, axis=-1) == query_y).mean(axis=-1).tolist()
     per_episode = np.asarray(accs)
     mean = float(per_episode.mean())
-    if episodes > 1:
-        ci = float(1.96 * per_episode.std(ddof=1) / np.sqrt(episodes))
+    if count > 1:
+        ci = float(1.96 * per_episode.std(ddof=1) / np.sqrt(count))
     else:
         ci = 0.0
-    return EvalReport(episodes=episodes, mean_accuracy=mean, ci95=ci, per_episode=accs)
+    return EvalReport(episodes=count, mean_accuracy=mean, ci95=ci, per_episode=accs)

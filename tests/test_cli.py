@@ -220,14 +220,18 @@ def test_init_config_template(tmp_path):
     assert "[train]" in text and "variant = PAL" in text
 
 
+def _tiny_cfg():
+    from pal.training import TrainConfig
+
+    return TrainConfig(epochs=1, lr_decay_epoch=1, warmup_epochs=0, batch_size=16)
+
+
 def _tiny_table(data_dir, out, novel="novel.pald"):
     from pal.ablation import run_table
     from pal.batching import AugmentConfig
     from pal.config import DESK_AUGMENT
-    from pal.training import TrainConfig
 
-    cfg = TrainConfig(epochs=1, lr_decay_epoch=1, warmup_epochs=0, batch_size=16)
-    return run_table(4, data_dir / "base.pald", data_dir / novel, cfg,
+    return run_table(4, data_dir / "base.pald", data_dir / novel, _tiny_cfg(),
                      AugmentConfig(**DESK_AUGMENT), out, episodes=5, jobs=1)
 
 
@@ -267,3 +271,35 @@ def test_ablate_writes_5way_1_and_5shot_evals_per_row(data_dir, tmp_path):
             with open(run_dir / f"eval_5way_{k}shot.csv", newline="") as fh:
                 accs = [float(r[1]) for r in list(csv.reader(fh))[1:-1]]
             assert float(row[f"acc_{k}shot"]) == pytest.approx(np.mean(accs), rel=1e-9)
+
+
+def test_ablate_draws_each_shot_once_and_scores_every_row_on_it(data_dir, tmp_path, monkeypatch):
+    import pal.ablation
+    import pal.episodes
+    from pal.ablation import TABLE_VARIANTS
+    from pal.encoders import load_encoder
+    from pal.episodes import evaluate
+    from pal.training import eval_seed
+
+    draws, evals = [], []
+    real_draw = pal.episodes.sample_episode
+    monkeypatch.setattr(pal.episodes, "sample_episode",
+                        lambda *a: draws.append(a) or real_draw(*a))
+    monkeypatch.setattr(pal.ablation, "evaluate",
+                        lambda *a, **kw: evals.append(a) or evaluate(*a, **kw))
+    _tiny_table(data_dir, tmp_path / "grid")
+    variants = [v.value for v in TABLE_VARIANTS[4]]
+    assert (len(draws), len(evals)) == (2 * 5, 2 * len(variants))
+
+    # Each row's evaluation files are what its checkpoint gives when it draws
+    # its own episodes under the grid's evaluation seed.
+    monkeypatch.undo()
+    novel = load_dataset(data_dir / "novel.pald")
+    for variant in variants:
+        run_dir = tmp_path / "grid" / variant
+        enc = load_encoder(run_dir / "main_encoder.palw")
+        for k in (1, 5):
+            fresh = tmp_path / f"{variant}_{k}.csv"
+            report = evaluate(enc, novel, n=5, k=k, q=15, episodes=5, rng=eval_seed(_tiny_cfg()))
+            report.to_csv(fresh)
+            assert (run_dir / f"eval_5way_{k}shot.csv").read_bytes() == fresh.read_bytes()

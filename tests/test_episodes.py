@@ -9,7 +9,7 @@ import pytest
 import pal.episodes
 from pal.data import Split, SyntheticSpec, generate_synthetic
 from pal.encoders import Encoder, EncoderConfig
-from pal.episodes import classify_query, evaluate, prototypes, sample_episode
+from pal.episodes import classify_query, draw_episodes, evaluate, prototypes, sample_episode
 from pal.exceptions import CapacityError, ContractError, ParameterError
 
 from oracles import evaluate_loop, prototypes_loop
@@ -246,6 +246,8 @@ def test_prototype_converges_toward_class_mean(novel):
 def test_evaluate_matches_per_episode_loop(monkeypatch, n, k, q):
     # Classes of 7 and 9 rows are too small for some (k, q); the rest vary.
     # Episode counts straddle the block size that evaluate draws and scores.
+    # Each count is evaluated twice: drawn inside evaluate, and drawn first
+    # by draw_episodes, then scored without a draw.
     split = uneven_split([30, 7, 25, 12, 40, 9, 18, 22, 14, 11])
     enc = Encoder(EncoderConfig(input_dim=split.dim, hidden_dims=(16,), embed_dim=8, seed=2))
     calls = []
@@ -254,10 +256,18 @@ def test_evaluate_matches_per_episode_loop(monkeypatch, n, k, q):
     assert pal.episodes.BLOCK == 64
     for seed in (0, 7, 20260808):
         for episodes in (1, 12, 63, 64, 65, 130):
+            expected = evaluate_loop(enc, split, n, k, q, episodes, seed)
             calls.clear()
             report = evaluate(enc, split, n=n, k=k, q=q, episodes=episodes, rng=seed)
-            assert report.per_episode == evaluate_loop(enc, split, n, k, q, episodes, seed)
+            assert report.per_episode == expected
             assert len(calls) == episodes
+            calls.clear()
+            drawn = draw_episodes(split, n, k, q, episodes, seed)
+            assert len(calls) == episodes
+            calls.clear()
+            report = evaluate(enc, split, n=n, k=k, q=q, episodes=drawn)
+            assert report.per_episode == expected
+            assert (report.episodes, calls) == (episodes, [])
 
 
 def test_evaluate_encodes_the_split_once():
@@ -276,7 +286,28 @@ def test_evaluate_rejects_before_encoding():
         evaluate(enc, split, n=3, k=5, q=21, episodes=10, rng=0)
     with pytest.raises(ParameterError):
         evaluate(enc, split, n=3, k=0, q=5, episodes=10, rng=0)
+    # A 1-way episode always scores 1.0, so it measures nothing.
+    with pytest.raises(ParameterError, match="n must be >= 2, got 1"):
+        evaluate(enc, split, n=1, k=1, q=5, episodes=10, rng=0)
     assert enc.calls == 0
+
+
+def test_evaluate_refuses_a_set_that_does_not_match():
+    split = uneven_split([30, 7, 25, 12, 40])
+    drawn = draw_episodes(split, n=3, k=2, q=5, episodes=70, rng=4)
+    enc = CountingEncoder(IdentityEncoder())
+    for n, k, q in ((2, 2, 5), (3, 1, 5), (3, 2, 6)):
+        with pytest.raises(ContractError, match="episode set is 3-way 2-shot with 5 queries"):
+            evaluate(enc, split, n=n, k=k, q=q, episodes=drawn)
+    # Another split: one more row, or the same rows in another order.
+    bigger = uneven_split([30, 7, 25, 12, 41])
+    order = np.random.default_rng(0).permutation(len(split.y))
+    shuffled = Split(split.x[order], split.y[order], label_width=split.label_width)
+    for other in (bigger, shuffled):
+        with pytest.raises(ContractError, match="drawn from another split"):
+            evaluate(enc, other, n=3, k=2, q=5, episodes=drawn)
+    assert enc.calls == 0
+    assert not drawn.rows.flags.writeable and not drawn.classes.flags.writeable
 
 
 def test_evaluate_memory_flat_in_episode_count():
