@@ -1,6 +1,6 @@
 """Ablation grids: the objective-integration schemes, partner-objective
-comparison, and alignment-loss comparison, each emitted as one CSV whose
-rows are named exactly by variant.
+comparison, and alignment-loss comparison, each emitted as one CSV
+(``ROW_COLUMNS``, by :func:`pal.data.write_csv`) whose rows are named by variant.
 
 Grid entries are isolated runs (own seed streams, own output files) that
 share only read-only inputs: the two splits, and one episode set per shot,
@@ -10,14 +10,13 @@ processes that get those inputs as arguments.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 from .batching import AugmentConfig
-from .data import atomic_write, load_dataset
+from .data import load_dataset, write_csv
 from .episodes import draw_episodes, evaluate
 from .exceptions import ParameterError
 from .training import NetConfig, TrainConfig, Variant, eval_seed, train_variant
@@ -119,10 +118,5 @@ def run_table(
         rows = list(map(run_one, cfgs))
 
     path = out / f"table{table}.csv"
-    with atomic_write(path, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROW_COLUMNS)
-        for row in rows:
-            name, count, *stats = astuple(row)
-            writer.writerow([name, count, *(f"{v:.10g}" for v in stats)])
+    write_csv(path, ROW_COLUMNS, map(astuple, rows))
     return path

@@ -60,13 +60,12 @@ def augment(x: np.ndarray, rng: np.random.Generator, cfg: AugmentConfig) -> np.n
 class AugmentedBatch:
     """2B-sample batch: ``inputs = concat(Aug(raw), Aug(raw))``."""
 
-    raw_ids: np.ndarray  # (B,)
     inputs: np.ndarray  # (2B, dim)
     labels: np.ndarray  # (2B,)
 
     @property
     def b(self) -> int:
-        return len(self.raw_ids)
+        return len(self.labels) // 2
 
     @property
     def size(self) -> int:
@@ -84,7 +83,6 @@ def build_batch(
     raw_labels: np.ndarray,
     rng: np.random.Generator,
     cfg: AugmentConfig,
-    raw_ids: np.ndarray | None = None,
 ) -> AugmentedBatch:
     raw_inputs = np.asarray(raw_inputs, dtype=np.float64)
     raw_labels = np.asarray(raw_labels)
@@ -94,12 +92,9 @@ def build_batch(
         raise ParameterError(
             f"got {len(raw_labels)} labels for {len(raw_inputs)} items"
         )
-    if raw_ids is None:
-        raw_ids = np.arange(len(raw_inputs))
     first = augment(raw_inputs, rng, cfg)
     second = augment(raw_inputs, rng, cfg)
     return AugmentedBatch(
-        raw_ids=np.asarray(raw_ids),
         inputs=np.concatenate([first, second], axis=0),
         labels=np.concatenate([raw_labels, raw_labels]),
     )

@@ -16,7 +16,6 @@ stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .ablation import TABLE_VARIANTS, run_table
 from .config import RunConfig, build_run_config, write_config_template
-from .data import SyntheticSpec, atomic_write, generate_synthetic, load_dataset
+from .data import SyntheticSpec, generate_synthetic, load_dataset, write_csv
 from .encoders import load_encoder
 from .episodes import evaluate
 from .exceptions import PALError, ParameterError
@@ -169,11 +168,8 @@ def cmd_dump_embeddings(args) -> int:
     encoder = load_encoder(args.checkpoint)
     split = load_dataset(args.data)
     z = encoder.encode(split.x.astype(np.float64))
-    with atomic_write(args.out_file, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", *(f"e{i}" for i in range(z.shape[1]))])
-        for i, (label, row) in enumerate(zip(split.y, z)):
-            writer.writerow([i, int(label), *(f"{v:.10g}" for v in row)])
+    write_csv(args.out_file, ["index", "label", *(f"e{i}" for i in range(z.shape[1]))],
+              ([i, int(label), *row] for i, (label, row) in enumerate(zip(split.y, z))))
     print(f"wrote {args.out_file} ({z.shape[0]} rows, dim {z.shape[1]})")
     return 0
 

@@ -23,11 +23,13 @@ globally disjoint.
 
 Every file the package writes (datasets, checkpoints, CSVs, config
 templates) goes through :func:`atomic_write`, so a file on disk is either
-complete or absent (or still the old complete file).
+complete or absent (or still the old complete file). Every CSV is written
+by :func:`write_csv`, the one place that decides the CSV format.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -246,6 +248,16 @@ def atomic_write(path, text: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as one CSV file, through
+    :func:`atomic_write`: every float as ``.10g``, every other value as it is."""
+    with atomic_write(path, text=True) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def save_dataset(split: Split, path) -> None:

@@ -6,7 +6,8 @@ array of row indices into the split (per episode and class, k support then
 q query rows), with ``n``, ``k``, ``q``, the split's row count and each
 episode's class ids. Each episode draws from its own generator stream split
 off the evaluation seed, so the draws do not depend on evaluation order and
-repeated runs with one seed are identical. Streams are spawned block by
+repeated runs with one seed are identical. The seed is an int, never a
+generator, which would advance as it draws. Streams are spawned block by
 block, :data:`BLOCK` episodes at a time, which yields the same streams as one
 spawn for every episode while only one block's generators are alive.
 
@@ -24,13 +25,12 @@ a set would silently score the wrong rows.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import l2_normalize
-from .data import Split, atomic_write
+from .data import Split, write_csv
 from .exceptions import CapacityError, ContractError, ParameterError
 
 # Episodes spawned and drawn together, and scored together by :func:`evaluate`.
@@ -124,12 +124,8 @@ class EvalReport:
         return f"{self.mean_accuracy:.4f} ± {self.ci95:.4f}"
 
     def to_csv(self, path) -> None:
-        with atomic_write(path, text=True) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode_id", "accuracy"])
-            for i, acc in enumerate(self.per_episode):
-                writer.writerow([i, f"{acc:.10g}"])
-            writer.writerow(["mean_ci95", self.summary()])
+        write_csv(path, ["episode_id", "accuracy"],
+                  [*enumerate(self.per_episode), ["mean_ci95", self.summary()]])
 
 
 def sample_episode(
@@ -171,10 +167,10 @@ def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
     return int(np.argmax(protos @ np.asarray(z_q, dtype=np.float64)))
 
 
-def _generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if rng is None or isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(0 if rng is None else int(rng))
-    return rng
+def _generator(rng: int | None) -> np.random.Generator:
+    if rng is not None and not isinstance(rng, (int, np.integer)):
+        raise ParameterError(f"rng must be an int seed or None, got {type(rng).__name__}")
+    return np.random.default_rng(0 if rng is None else int(rng))
 
 
 def _check_count(episodes: int) -> None:
@@ -197,7 +193,7 @@ def draw_episodes(
     k: int,
     q: int,
     episodes: int,
-    rng: np.random.Generator | int | None = None,
+    rng: int | None = None,
 ) -> EpisodeSet:
     """The ``episodes`` episodes that :func:`evaluate` with the same
     arguments would draw, drawn once, in the same order."""
@@ -231,18 +227,19 @@ def evaluate(
     k: int = 1,
     q: int = 15,
     episodes: int | EpisodeSet = 600,
-    rng: np.random.Generator | int | None = None,
+    rng: int | None = None,
 ) -> EvalReport:
     """Mean episode accuracy with a 95% normal-approximation interval.
 
-    ``episodes`` is a count, whose episodes are drawn from ``rng`` block by
-    block, or an :class:`EpisodeSet` drawn from ``novel`` for the same
-    ``n``, ``k`` and ``q``, which is scored as it is (``rng`` is unused)."""
+    ``episodes`` is a count, whose episodes are drawn under the int seed
+    ``rng`` (None is 0), or an :class:`EpisodeSet` drawn from ``novel`` for
+    the same ``n``, ``k`` and ``q``, scored as it is (``rng`` unused)."""
+    rng = _generator(rng)
     if isinstance(episodes, EpisodeSet):
         _check_drawn_from(episodes, novel, n, k, q)
         count = len(episodes.rows)
     else:
-        count, pool, rng = episodes, episode_pool(novel, n, k, q), _generator(rng)
+        count, pool = episodes, episode_pool(novel, n, k, q)
         buffer = np.empty((BLOCK, n, k + q), dtype=np.intp)
     _check_count(count)
     z = enc.encode(novel.x)

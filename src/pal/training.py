@@ -21,7 +21,8 @@ an entry into the stage's models and a per-batch ``loss_fn(batch, w) ->
 batching, the non-finite loss check, the optimizer step under the lr
 schedule and the alignment warm-up, the metrics log, and the final float32
 rounding), and ``_save`` alone decides the file layout of a run directory:
-``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``.
+``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``
+(written by :func:`pal.data.write_csv`, like every CSV of the package).
 
 One training run is a single logical writer over its model state; runs with
 distinct configs are fully independent (each derives every generator it uses
@@ -33,7 +34,6 @@ the loss *functions* themselves sum over instances as documented.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -44,7 +44,7 @@ import numpy as np
 
 from .batching import AugmentConfig, build_batch, sample_anchor_sets
 from .core import Tensor, backward, scale, softmax_temperature
-from .data import Split, atomic_write
+from .data import Split, write_csv
 from .encoders import (
     CosineClassifier,
     Encoder,
@@ -264,19 +264,7 @@ class MetricsLogger:
         self.rows.append(row)
 
     def write_csv(self, path) -> None:
-        with atomic_write(path, text=True) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRIC_COLUMNS)
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row["epoch"],
-                        row["step"],
-                        *(f"{row[c]:.10g}" for c in METRIC_COLUMNS[2:8]),
-                        row["skipped_positive_instances"],
-                        f"{row['loss_aux']:.10g}",
-                    ]
-                )
+        write_csv(path, METRIC_COLUMNS, (row.values() for row in self.rows))
 
     def epoch_means(self, column: str) -> list[float]:
         by_epoch: dict[int, list[float]] = {}
@@ -321,13 +309,7 @@ def _iter_batches(
     order = rng.permutation(len(split.y))
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start : start + cfg.batch_size]
-        yield build_batch(
-            split.x[chunk].astype(np.float64),
-            split.y[chunk],
-            rng,
-            aug,
-            raw_ids=chunk,
-        )
+        yield build_batch(split.x[chunk].astype(np.float64), split.y[chunk], rng, aug)
 
 
 def quantize_to_storage(*models) -> None:
@@ -375,10 +357,12 @@ def _fit(
     after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
     logit-alignment weight and returns the backward roots plus the metrics
     row for the step. The data order is drawn from the run's
-    ``{stage}_data`` seed stream. The first non-finite loss raises
-    :class:`DivergenceError` before its step is taken, so a diverged stage
-    returns nothing to save.
+    ``{stage}_data`` seed stream. An empty split raises before the first
+    step, and the first non-finite loss (:class:`DivergenceError`) before
+    its own, so a failed stage returns nothing to save.
     """
+    if len(base.y) == 0:
+        raise ParameterError(f"{cfg.variant.value} {stage} stage: the base split has no rows")
     aug = aug if aug is not None else AugmentConfig()
     opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
     classifiers = [m for m in models if isinstance(m, CosineClassifier)]
@@ -478,6 +462,11 @@ def _train_stage(
         raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
     if objective.needs_partner and (partner is None or not partner.frozen):
         raise ContractError(f"variant {cfg.variant.value} needs a frozen partner encoder")
+    if objective.needs_partner and partner.config.embed_dim != net.embed_dim:
+        raise ContractError(
+            f"variant {cfg.variant.value}: the partner embeds in {partner.config.embed_dim} "
+            f"dimensions but the main encoder in {net.embed_dim}"
+        )
 
     streams = _seed_streams(cfg)
     enc = net.encoder(base.dim, _seed_int(streams[f"{stage}_init"]))
@@ -549,7 +538,7 @@ def train_partner(
 ) -> StageResult:
     """Stage one: contrastive training of the partner encoder under the
     variant's partner objective (CT for ``Partner_CT``, SupCT otherwise)."""
-    if len(base.classes) < 2:
+    if len(base.classes) == 1:
         logger.warning(
             "train_partner: single-class data; every batch is all-positive and "
             "the contrastive objective is degenerate"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pal.cli import main
-from pal.data import load_dataset
+from pal.data import Split, load_dataset, save_dataset
 
 TRAIN_TINY = [
     "--set", "train.epochs=2",
@@ -106,6 +106,41 @@ def test_dump_embeddings_unit_rows(data_dir, tmp_path):
     assert header[:2] == ["index", "label"]
     mat = np.array([[float(v) for v in row[2:]] for row in body])
     np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-6)
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pal: error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("variant", ["PAL", "PAL_logit_only"])
+def test_partner_of_another_width_is_one_error_line(data_dir, tmp_path, capsys, variant):
+    stage1 = tmp_path / "stage1"
+    assert main(["train-partner", "--base", str(data_dir / "base.pald"), "--out", str(stage1),
+                 "--set", "encoder.embed_dim=16", *TRAIN_TINY]) == 0
+    capsys.readouterr()
+    out = tmp_path / "main"
+    code = main(["train-main", "--base", str(data_dir / "base.pald"),
+                 "--partner", str(stage1 / "partner_encoder.palw"), "--out", str(out),
+                 "--set", f"train.variant={variant}", *TRAIN_TINY])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert "16" in line and "32" in line and variant in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,stage", [
+    (["train-partner"], "PAL partner stage"),
+    (["train-variant", "--variant", "SupCT_only"], "SupCT_only partner stage"),
+], ids=["train-partner", "train-variant"])
+def test_empty_base_split_is_one_error_line(tmp_path, capsys, command, stage):
+    empty = tmp_path / "empty.pald"
+    save_dataset(Split(np.zeros((0, 32), np.float32), np.zeros(0, np.int32), 28), empty)
+    out = tmp_path / "run"
+    assert main([*command, "--base", str(empty), "--out", str(out), *TRAIN_TINY]) == 1
+    assert f"{stage}: the base split has no rows" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_ablate_table4_rows(data_dir, tmp_path, capsys):

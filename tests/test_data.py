@@ -168,6 +168,11 @@ def _eval_writer(seed):
                       per_episode=[0.1 * seed] * 40).to_csv
 
 
+def _csv_writer(seed):
+    rows = [[i, 0.1 * seed, "row"] for i in range(40)]
+    return lambda path: pal.data.write_csv(path, ["id", "value", "name"], rows)
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -177,7 +182,8 @@ def _read_csv(path):
 @pytest.mark.parametrize("writer,reader", [(_encoder_writer, load_encoder),
                                            (_dataset_writer, load_dataset),
                                            (_metrics_writer, _read_csv),
-                                           (_eval_writer, _read_csv)])
+                                           (_eval_writer, _read_csv),
+                                           (_csv_writer, _read_csv)])
 def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch, writer, reader):
     path = tmp_path / "file.bin"
     writer(1)(path)

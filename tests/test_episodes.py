@@ -292,6 +292,20 @@ def test_evaluate_rejects_before_encoding():
     assert enc.calls == 0
 
 
+def test_evaluate_and_draw_refuse_a_generator_before_encoding():
+    # Drawing advances a generator, so evaluate after draw_episodes with one
+    # generator would score other episodes than the ones drawn.
+    split = uneven_split([30, 7, 25, 12, 40])
+    drawn = draw_episodes(split, n=3, k=2, q=5, episodes=10, rng=7)
+    enc = CountingEncoder(IdentityEncoder())
+    with pytest.raises(ParameterError, match="got Generator"):
+        draw_episodes(split, 3, 2, 5, 10, np.random.default_rng(7))
+    for episodes in (10, drawn):
+        with pytest.raises(ParameterError, match="got Generator"):
+            evaluate(enc, split, n=3, k=2, q=5, episodes=episodes, rng=np.random.default_rng(7))
+    assert enc.calls == 0
+
+
 def test_evaluate_refuses_a_set_that_does_not_match():
     split = uneven_split([30, 7, 25, 12, 40])
     drawn = draw_episodes(split, n=3, k=2, q=5, episodes=70, rng=4)

@@ -1,9 +1,10 @@
 """Golden digests: the bytes every training entry point writes at a tiny
-config, the float64 losses it logs, and the episode accuracies of the trained
-encoders.
+config, the float64 losses it logs, the episode accuracies of the trained
+encoders, one ablation table and one embedding dump.
 
-``golden/digests.json`` maps each checkpoint, metrics CSV and evaluation CSV
-(path relative to the output root) to its SHA-256. It also maps
+``golden/digests.json`` maps each checkpoint, metrics CSV, evaluation CSV,
+``table4.csv`` and dump CSV (path relative to the output root) to its
+SHA-256. It also maps
 ``{run}/rows_{role}.repr`` to the SHA-256 of the ``repr`` of every in-memory
 metrics row of that stage, one row per line: the CSVs round losses to 10
 digits and the checkpoints round weights to float32, so only these entries
@@ -20,12 +21,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+from pal import cli
+from pal.ablation import run_table
 from pal.batching import AugmentConfig
-from pal.data import SyntheticSpec, generate_synthetic
+from pal.data import SyntheticSpec, generate_synthetic, save_dataset
 from pal.encoders import load_encoder
 from pal.episodes import evaluate
 from pal.training import (
@@ -57,6 +62,13 @@ CLI_VARIANTS = (Variant.PAL, Variant.PARTNER_CT, Variant.CE_ONLY)
 EVAL_SHOTS = (1, 5)
 EVAL_QUERIES = 5
 EVAL_EPISODES = 20
+# ``run_table(4)`` needs 5 novel classes (every table is 5-way); with the same
+# seed the base rows are the golden ones. Only its ``table4.csv`` is digested.
+TABLE_SPEC = replace(SPEC, n_novel_classes=5)
+TABLE_QUERIES = 2
+TABLE_EPISODES = 10
+# ``pal dump-embeddings`` of this golden encoder on the golden novel split.
+DUMPED = "uncapped/PAL/main_encoder.palw"
 
 
 def _sha256(blob: bytes) -> str:
@@ -101,6 +113,16 @@ def produce(out: Path) -> dict[str, str]:
         main = train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, net=NET)
         metrics["main"] = main.metrics
         rows.update(_rows_digests(f"cli/{variant.value}", metrics))
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        generate_synthetic(TABLE_SPEC, out_dir=scratch)
+        table = run_table(4, scratch / "base.pald", scratch / "novel.pald", CFG, AUG,
+                          scratch / "table", net=NET, q=TABLE_QUERIES, episodes=TABLE_EPISODES)
+        shutil.copy(table, out / table.name)
+        save_dataset(dataset.novel, scratch / "golden_novel.pald")
+        assert cli.main(["dump-embeddings", "--checkpoint", str(out / DUMPED),
+                         "--data", str(scratch / "golden_novel.pald"),
+                         "--out", str(out / "dump_PAL_novel.csv")]) == 0
     files = {
         path.relative_to(out).as_posix(): _sha256(path.read_bytes())
         for path in sorted(out.rglob("*"))
@@ -120,8 +142,6 @@ def test_training_outputs_match_golden_digests(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         digests = produce(Path(tmp))
     DIGESTS.parent.mkdir(exist_ok=True)
