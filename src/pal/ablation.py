@@ -10,7 +10,6 @@ processes that get those inputs as arguments.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -112,6 +111,9 @@ def run_table(
                       out_dir=out, q=q, drawn=drawn)
     cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]
     if jobs > 1:
+        # Imported here: the pool modules cost every importing process RSS.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_one, cfgs))
     else:

@@ -108,7 +108,9 @@ class SyntheticDataset:
 
 class MixingMap:
     """Fixed stack of orthogonal rotations interleaved with a mild monotone
-    nonlinearity; expansion per layer is bounded in [1, 1 + gain]."""
+    nonlinearity; expansion per layer is bounded in [1, 1 + gain]. Each layer
+    holds two ``x``-sized arrays: the rotated rows, and their ``tanh``, which
+    is scaled and added in place."""
 
     def __init__(self, dim: int, depth: int, rng: np.random.Generator):
         self.rotations = []
@@ -120,7 +122,9 @@ class MixingMap:
         out = np.asarray(x, dtype=np.float64)
         for q in self.rotations:
             out = out @ q.T
-            out = out + MIX_TANH_GAIN * np.tanh(out)
+            bent = np.tanh(out)
+            bent *= MIX_TANH_GAIN
+            out += bent
         return out
 
 
@@ -146,18 +150,25 @@ def _rejection_sample(
 
 
 def _centroid_holdout_accuracy(x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> float:
-    """Brute-force nearest-class-center score on a held-out 20% of items."""
+    """Brute-force nearest-class-center score on a held-out 20% of items.
+
+    Rows are cast to float64 after they are gathered, and the squared
+    distances are filled in one centroid at a time, so the check holds
+    O(N·d + N·C) memory rather than an (n_test, C, d) difference array."""
     classes = np.unique(y)
     train_idx, test_idx = [], []
     for c in classes:
         idx = np.flatnonzero(y == c)
         idx = idx[rng.permutation(len(idx))]
         cut = max(1, int(0.8 * len(idx)))
-        train_idx.extend(idx[:cut])
-        test_idx.extend(idx[cut:])
-    train_idx, test_idx = np.array(train_idx), np.array(test_idx)
-    centroids = np.stack([x[train_idx][y[train_idx] == c].mean(axis=0) for c in classes])
-    dists = ((x[test_idx][:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        train_idx.append(idx[:cut])
+        test_idx.append(idx[cut:])
+    centroids = [x[idx].astype(np.float64).mean(axis=0) for idx in train_idx]
+    test_idx = np.concatenate(test_idx)
+    test = x[test_idx].astype(np.float64)
+    dists = np.empty((len(test_idx), len(classes)))
+    for k, centroid in enumerate(centroids):
+        dists[:, k] = ((test - centroid) ** 2).sum(axis=1)
     pred = classes[np.argmin(dists, axis=1)]
     return float(np.mean(pred == y[test_idx]))
 
@@ -199,18 +210,16 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
     sigma_nuisance = NUISANCE_NOISE_RATIO * spec.margin
 
     def materialize(centers, labels_offset):
-        rows, labels = [], []
+        n = spec.items_per_class
+        x = np.empty((len(centers) * n, spec.raw_dim))
         for k, center in enumerate(centers):
-            signal = center + sigma_cluster * rng_items.standard_normal(
-                (spec.items_per_class, signal_dim)
+            rows = x[k * n : (k + 1) * n]
+            rows[:, :signal_dim] = center + sigma_cluster * rng_items.standard_normal(
+                (n, signal_dim)
             )
-            nuisance = sigma_nuisance * rng_items.standard_normal(
-                (spec.items_per_class, nuisance_dim)
-            )
-            rows.append(np.concatenate([signal, nuisance], axis=1))
-            labels.append(np.full(spec.items_per_class, labels_offset + k))
-        x = mix(np.concatenate(rows, axis=0))
-        return x.astype(np.float32), np.concatenate(labels).astype(np.int32)
+            rows[:, signal_dim:] = sigma_nuisance * rng_items.standard_normal((n, nuisance_dim))
+        labels = np.arange(labels_offset, labels_offset + len(centers), dtype=np.int32)
+        return mix(x).astype(np.float32), np.repeat(labels, n)
 
     label_width = spec.n_base_classes + spec.n_novel_classes
     base_x, base_y = materialize(base_centers, 0)
@@ -219,9 +228,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir=None) -> SyntheticDataset:
     novel = Split(novel_x, novel_y, label_width)
 
     report = GenerationReport(
-        centroid_holdout_accuracy=_centroid_holdout_accuracy(
-            base_x.astype(np.float64), base_y, rng_check
-        ),
+        centroid_holdout_accuracy=_centroid_holdout_accuracy(base_x, base_y, rng_check),
         min_center_distance=float(min(pair_dists)) if pair_dists else float("inf"),
         rejection_attempts=attempts,
     )

@@ -357,12 +357,10 @@ def _fit(
     after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
     logit-alignment weight and returns the backward roots plus the metrics
     row for the step. The data order is drawn from the run's
-    ``{stage}_data`` seed stream. An empty split raises before the first
-    step, and the first non-finite loss (:class:`DivergenceError`) before
-    its own, so a failed stage returns nothing to save.
+    ``{stage}_data`` seed stream. The first non-finite loss
+    (:class:`DivergenceError`) raises before its own step, so a failed stage
+    returns nothing to save.
     """
-    if len(base.y) == 0:
-        raise ParameterError(f"{cfg.variant.value} {stage} stage: the base split has no rows")
     aug = aug if aug is not None else AugmentConfig()
     opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
     classifiers = [m for m in models if isinstance(m, CosineClassifier)]
@@ -391,6 +389,13 @@ def _fit(
 
     quantize_to_storage(*models)
     return metrics
+
+
+def _require_rows(base: Split, variant: Variant, stage: str) -> None:
+    """Reject an empty split, naming the variant and stage, before any model
+    is built."""
+    if len(base.y) == 0:
+        raise ParameterError(f"{variant.value} {stage} stage: the base split has no rows")
 
 
 def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
@@ -457,6 +462,7 @@ def _train_stage(
     ``_OBJECTIVES`` entry: an encoder from the ``{stage}_init`` seed stream,
     plus a cosine classifier from ``classifier_init`` when the objective has
     CE. Each term is logged and added to the total as a per-instance mean."""
+    _require_rows(base, cfg.variant, stage)
     objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
     if objective is None or (stage == "partner" and objective.ce):
         raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
@@ -624,6 +630,9 @@ def train_variant(
     """Run the full training scheme selected by ``cfg.variant`` and return
     the encoder to be evaluated plus everything trained along the way."""
     variant = cfg.variant
+    # The first stage to run; a CE partner runs under a CE_only config, so
+    # its stage is named here.
+    _require_rows(base, variant, "main" if _OBJECTIVES[variant][0] is None else "partner")
     if variant == Variant.MUTUAL:
         return _train_mutual(base, cfg, aug, out_dir, net)
 

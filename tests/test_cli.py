@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pal
 from pal.cli import main
 from pal.data import Split, load_dataset, save_dataset
 
@@ -133,7 +138,13 @@ def test_partner_of_another_width_is_one_error_line(data_dir, tmp_path, capsys, 
 @pytest.mark.parametrize("command,stage", [
     (["train-partner"], "PAL partner stage"),
     (["train-variant", "--variant", "SupCT_only"], "SupCT_only partner stage"),
-], ids=["train-partner", "train-variant"])
+    (["train-variant", "--variant", "CE_only"], "CE_only main stage"),
+    (["train-variant", "--variant", "MultiTask"], "MultiTask main stage"),
+    (["train-variant", "--variant", "Reverse"], "Reverse partner stage"),
+    (["train-variant", "--variant", "Partner_CE"], "Partner_CE partner stage"),
+    (["train-variant", "--variant", "Mutual"], "Mutual main stage"),
+], ids=["train-partner", "train-variant", "CE_only", "MultiTask", "Reverse", "Partner_CE",
+        "Mutual"])
 def test_empty_base_split_is_one_error_line(tmp_path, capsys, command, stage):
     empty = tmp_path / "empty.pald"
     save_dataset(Split(np.zeros((0, 32), np.float32), np.zeros(0, np.int32), 28), empty)
@@ -246,6 +257,15 @@ def test_ablate_parallel_jobs_match_sequential(data_dir, tmp_path):
     assert main([*args, "--out", str(seq), "--jobs", "1"]) == 0
     assert main([*args, "--out", str(par), "--jobs", "2"]) == 0
     assert (seq / "table4.csv").read_text() == (par / "table4.csv").read_text()
+
+
+def test_pool_modules_import_only_for_parallel_jobs():
+    code = ("import sys, pal.ablation, pal.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(pal.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_init_config_template(tmp_path):

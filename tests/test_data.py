@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import builtins
 import csv
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
 from pal.episodes import EvalReport
 from pal.exceptions import FormatError, ParameterError
 from pal.training import MetricsLogger
+from test_golden import SPEC as GOLDEN_SPEC
 
 SMALL = SyntheticSpec(
     n_base_classes=5, n_novel_classes=3, items_per_class=12, raw_dim=16, margin=2.0, seed=3
@@ -41,6 +44,50 @@ def test_same_seed_byte_identical_files(tmp_path):
     generate_synthetic(SMALL, b)
     assert (a / "base.pald").read_bytes() == (b / "base.pald").read_bytes()
     assert (a / "novel.pald").read_bytes() == (b / "novel.pald").read_bytes()
+
+
+# SHA-256 of base.pald and novel.pald and the report's repr: any change to
+# the random streams, the float arithmetic or the file format moves them.
+PINNED_GENERATIONS = [
+    (SyntheticSpec(),
+     "00a684ec4399ae4be9ad7fff4b582cb5412ecf020350d4f091cc64c757c4dfca",
+     "3304047a475119fd529374defb50f6b69870b78bcea866b12a3411b9d2351166",
+     "GenerationReport(centroid_holdout_accuracy=0.9975, "
+     "min_center_distance=3.050149666746954, rejection_attempts=50)"),
+    (SyntheticSpec(seed=0),
+     "76c1646fc542a8733b83773524d4f73f0b43bebb8c6d00843a26ecbf493b766c",
+     "1e57ba34dd613cf85d9b1fa7e1523f73acc43192aec6d10821348043d142add4",
+     "GenerationReport(centroid_holdout_accuracy=0.99875, "
+     "min_center_distance=3.0016597092987523, rejection_attempts=46)"),
+    (GOLDEN_SPEC,
+     "4bcb40f8638f18f58ae21236a34ece496199905b187faa1f306667a933ba4ca5",
+     "c8bfbe5ddb57362c1869f83faea4645ba14e245f85fb62b6e5d78f2c7a4a0f4c",
+     "GenerationReport(centroid_holdout_accuracy=0.8333333333333334, "
+     "min_center_distance=3.1681886018145256, rejection_attempts=135)"),
+]
+
+
+@pytest.mark.parametrize("spec,base_sha,novel_sha,report", PINNED_GENERATIONS,
+                         ids=["default", "seed0", "golden"])
+def test_generated_bytes_pinned(tmp_path, spec, base_sha, novel_sha, report):
+    ds = generate_synthetic(spec, tmp_path)
+    assert hashlib.sha256((tmp_path / "base.pald").read_bytes()).hexdigest() == base_sha
+    assert hashlib.sha256((tmp_path / "novel.pald").read_bytes()).hexdigest() == novel_sha
+    assert repr(ds.report) == report
+
+
+def test_generation_memory_is_linear_in_the_data():
+    # Many classes: a holdout check holding (n_test, C, d) float64 arrays
+    # peaks at about 11x the data here.
+    spec = SyntheticSpec(n_base_classes=64, n_novel_classes=20, items_per_class=200)
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data_f64 = (ds.base.x.size + ds.novel.x.size) * 8
+    assert peak <= 4 * data_f64, f"peak {peak} B is {peak / data_f64:.1f}x the data"
 
 
 def test_different_seed_differs(tmp_path):
