@@ -1,4 +1,6 @@
-"""Autodiff core: tensors, differentiable ops, gradient checking."""
+"""Autodiff engine: the tensor and its backward pass, the few graph nodes
+training builds besides the fused ones, the softmax kernel, and gradient
+checking. The fused nodes themselves live beside the models and losses."""
 from .gradcheck import (
     analytic_grad,
     check_gradient,
@@ -7,25 +9,12 @@ from .gradcheck import (
 )
 from .ops import (
     add,
-    clamp_min,
-    dot,
-    exp,
     l2_normalize,
-    log,
-    log_sum_exp,
     lse_softmax,
-    matmul,
-    mul,
-    reduce_mean,
-    reduce_sum,
-    relu,
     reshape,
     scale,
     softmax,
     softmax_temperature,
-    sub,
-    take_rows,
-    transpose,
 )
 from .tensor import Tensor, as_tensor, backward, from_op
 
@@ -35,22 +24,9 @@ __all__ = [
     "backward",
     "from_op",
     "add",
-    "sub",
-    "mul",
     "scale",
-    "matmul",
-    "dot",
-    "transpose",
-    "relu",
-    "exp",
-    "log",
-    "reduce_sum",
-    "reduce_mean",
     "reshape",
-    "clamp_min",
-    "take_rows",
     "l2_normalize",
-    "log_sum_exp",
     "lse_softmax",
     "softmax",
     "softmax_temperature",

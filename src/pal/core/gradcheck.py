@@ -1,7 +1,9 @@
 """Finite-difference gradient checking.
 
-Shipped as library code (not only a test helper) so that custom losses built
-on the tensor core can be re-verified the same way the bundled ones are.
+Shipped as library code (not only a test helper) so that a custom loss term,
+written as one :func:`~pal.core.tensor.from_op` node with a hand-written
+vector-Jacobian product the way the bundled ones are, can be verified the
+same way they are.
 """
 from __future__ import annotations
 

@@ -1,29 +1,29 @@
-"""Differentiable operations over :class:`~pal.core.tensor.Tensor`.
+"""The graph nodes training builds outside the fused ones, and the shared
+softmax kernel.
 
-The primitives here each carry a hand-written vector-Jacobian product.
-Reductions inherit numpy's pairwise summation, which keeps loss values
-reproducible to well below 1e-9 on a given platform.
-
-The training hot path does not chain these primitives: each step builds
-one fused node per encoder pass (:meth:`pal.encoders.Encoder.embed`: dense,
-bias and ReLU layers plus the L2 normalization), per cosine-logit matrix
+Training builds one fused node per encoder pass
+(:meth:`pal.encoders.Encoder.embed`: dense, bias and ReLU layers plus the L2
+normalization), per cosine-logit matrix
 (:meth:`pal.encoders.CosineClassifier.logits`) and per objective
-(``pal.losses._contrastive_sum`` and
-:func:`pal.losses.soft_cross_entropy_batch`), each created with
-:func:`~pal.core.tensor.from_op`. A fused node computes exactly the float
-operations of the composite chain it replaces, in the same order, forward
-and backward; where the chain fed several gradient contributions into one
+(``pal.losses._contrastive_sum``, :func:`pal.losses.soft_cross_entropy_batch`
+and :func:`pal.losses.kl_loss_batch`), each created with
+:func:`~pal.core.tensor.from_op`. Around them it needs only :func:`scale`
+and :func:`add` (the per-instance means and the weighted sum of terms),
+:func:`reshape` (a 1-D input) and the Tensor form of :func:`softmax` (the
+KL student). A fused node computes exactly the float operations of the
+composite chain of primitives it replaced, in the same order, forward and
+backward; where the chain fed several gradient contributions into one
 tensor, the node lists that tensor once per contribution, so the gradients
-accumulate in the same order and the trained bytes stay the same. The
-composite chains live on in ``tests/oracles.py`` as the reference the fused
+accumulate in the same order and the trained bytes stay the same. Those
+primitives and chains live on in ``tests/`` as the reference the fused
 nodes are checked against.
 
-The stability-sensitive ops (:func:`log_sum_exp`, :func:`softmax_temperature`,
-:func:`l2_normalize`) also accept plain arrays and then return plain arrays,
-so constant targets (soft labels, anchors) can reuse the exact same numerics
-without entering a graph. :func:`lse_softmax` is the one shifted-exponential
-kernel: :func:`log_sum_exp`, :func:`softmax` and the fused loss nodes all
-take their values from it.
+:func:`lse_softmax` is the one shifted-exponential kernel: :func:`softmax`
+and the fused loss nodes all take their values from it.
+:func:`softmax_temperature` and :func:`softmax` also accept plain arrays and
+then return plain arrays, so constant targets (soft labels) reuse the exact
+same numerics without entering a graph; :func:`l2_normalize` takes arrays
+only.
 """
 from __future__ import annotations
 
@@ -51,32 +51,6 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     return from_op(data, (a, b), vjp, "add")
 
 
-def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise _shape_error("sub", a.data, b.data) from None
-
-    def vjp(g: np.ndarray):
-        return unbroadcast(g, a.data.shape), unbroadcast(-g, b.data.shape)
-
-    return from_op(data, (a, b), vjp, "sub")
-
-
-def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise _shape_error("mul", a.data, b.data) from None
-
-    def vjp(g: np.ndarray):
-        return unbroadcast(g * b.data, a.data.shape), unbroadcast(g * a.data, b.data.shape)
-
-    return from_op(data, (a, b), vjp, "mul")
-
-
 def scale(a: ArrayLike, alpha: float) -> Tensor:
     a = as_tensor(a)
     alpha = float(alpha)
@@ -85,40 +59,6 @@ def scale(a: ArrayLike, alpha: float) -> Tensor:
         return (g * alpha,)
 
     return from_op(a.data * alpha, (a,), vjp, "scale")
-
-
-def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Matrix product for ndim <= 2 operands (matrix@matrix, matrix@vector,
-    vector@matrix)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
-        raise _shape_error("matmul", a.data, b.data)
-    try:
-        data = a.data @ b.data
-    except ValueError:
-        raise _shape_error("matmul", a.data, b.data) from None
-
-    def vjp(g: np.ndarray):
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ b.data.T, a.data.T @ g
-        if a.ndim == 2 and b.ndim == 1:
-            return np.outer(g, b.data), a.data.T @ g
-        # a 1-D, b 2-D
-        return g @ b.data.T, np.outer(a.data, g)
-
-    return from_op(data, (a, b), vjp, "matmul")
-
-
-def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise _shape_error("dot", a.data, b.data)
-    data = a.data @ b.data
-
-    def vjp(g: np.ndarray):
-        return g * b.data, g * a.data
-
-    return from_op(data, (a, b), vjp, "dot")
 
 
 def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
@@ -134,140 +74,15 @@ def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
     return from_op(data, (a,), vjp, "reshape")
 
 
-def transpose(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise _shape_error("transpose", a.data)
-
-    def vjp(g: np.ndarray):
-        return (g.T,)
-
-    return from_op(a.data.T, (a,), vjp, "transpose")
-
-
-def relu(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-
-    def vjp(g: np.ndarray):
-        return (g * mask,)
-
-    return from_op(np.where(mask, a.data, 0.0), (a,), vjp, "relu")
-
-
-def exp(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def vjp(g: np.ndarray):
-        return (g * data,)
-
-    return from_op(data, (a,), vjp, "exp")
-
-
-def log(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g: np.ndarray):
-        return (g / a.data,)
-
-    return from_op(np.log(a.data), (a,), vjp, "log")
-
-
-def reduce_sum(a: ArrayLike, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis)
-
-    def vjp(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
-
-    return from_op(data, (a,), vjp, "sum")
-
-
-def reduce_mean(a: ArrayLike, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    data = a.data.mean(axis=axis)
-
-    def vjp(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape).copy(),)
-
-    return from_op(data, (a,), vjp, "mean")
-
-
-def clamp_min(a: ArrayLike, floor: float) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data >= floor
-
-    def vjp(g: np.ndarray):
-        return (g * mask,)
-
-    return from_op(np.maximum(a.data, floor), (a,), vjp, "clamp_min")
-
-
-def take_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor by a constant index array."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise _shape_error("take_rows", a.data)
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def vjp(g: np.ndarray):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return from_op(a.data[idx], (a,), vjp, "take_rows")
-
-
-def l2_normalize(x, eps: float = 1e-12, axis: int = -1):
-    """``x / max(||x||_2, eps)`` along ``axis``.
+def l2_normalize(x, eps: float = 1e-12, axis: int = -1) -> np.ndarray:
+    """``x / max(||x||_2, eps)`` along ``axis``, array in, array out.
 
     The eps guard maps the zero vector to zero instead of raising, so
     degenerate embeddings surface as zero cosine similarity downstream.
-    Accepts a Tensor (differentiable) or a plain array (returns an array).
     """
-    if not isinstance(x, Tensor):
-        arr = np.asarray(x, dtype=np.float64)
-        norm = np.maximum(np.linalg.norm(arr, axis=axis, keepdims=True), eps)
-        return arr / norm
-
-    norms = np.linalg.norm(x.data, axis=axis, keepdims=True)
-    clipped = np.maximum(norms, eps)
-    out = x.data / clipped
-
-    def vjp(g: np.ndarray):
-        # Two regimes: n = ||x|| (project out the radial component) and
-        # n = eps held constant (plain 1/eps scaling).
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        grad_live = (g - out * inner) / clipped
-        grad_eps = g / eps
-        return (np.where(norms >= eps, grad_live, grad_eps),)
-
-    return from_op(out, (x,), vjp, "l2_normalize")
-
-
-def log_sum_exp(v, axis: int | None = None):
-    """Shift-stabilized ``log(sum(exp(v)))``, finite for any finite input.
-
-    ``-inf`` entries are legal and act as masked-out terms, provided each
-    reduced slice keeps at least one finite entry.
-    """
-    if not isinstance(v, Tensor):
-        return lse_softmax(np.asarray(v, dtype=np.float64), axis)[0]
-
-    data, softmax_vals = lse_softmax(v.data, axis)
-
-    def vjp(g: np.ndarray):
-        if axis is None:
-            return (g * softmax_vals,)
-        return (np.expand_dims(g, axis) * softmax_vals,)
-
-    return from_op(data, (v,), vjp, "log_sum_exp")
+    arr = np.asarray(x, dtype=np.float64)
+    norm = np.maximum(np.linalg.norm(arr, axis=axis, keepdims=True), eps)
+    return arr / norm
 
 
 def lse_softmax(arr: np.ndarray, axis: int | None):

@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`Tensor` wraps a numpy array plus the bookkeeping needed to pull
-gradients back from a scalar loss. Graphs are built implicitly by the ops in
-:mod:`pal.core.ops`; calling :func:`backward` on a scalar root walks the
-recorded graph once in reverse topological order.
+gradients back from a scalar loss. Every interior node is made by
+:func:`from_op` from its value, its parents and a vector-Jacobian product:
+the fused model and loss nodes and the few ops in :mod:`pal.core.ops`.
+Calling :func:`backward` on a scalar root walks the recorded graph once in
+reverse topological order.
 
 Graph construction and backward are single-threaded per graph. Distinct
 graphs are independent and may run on separate threads; tensors may move
@@ -24,8 +26,8 @@ class Tensor:
     """Node in a differentiable computation graph.
 
     Leaves are created directly (parameters with ``requires_grad=True``,
-    constants without); interior nodes are created by ops and carry a
-    vector-Jacobian-product closure used during backward.
+    constants without); interior nodes are created by :func:`from_op` and
+    carry a vector-Jacobian-product closure used during backward.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "op")
@@ -59,50 +61,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Operator sugar; the actual math lives in pal.core.ops.
+    # ``+`` is the one operator: the trainers sum their loss terms with it.
     def __add__(self, other: ArrayLike) -> "Tensor":
         from . import ops
 
         return ops.add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        from . import ops
-
-        return ops.sub(other, self)
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        from . import ops
-
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        from . import ops
-
-        return ops.scale(self, -1.0)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        from . import ops
-
-        return ops.matmul(self, other)
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        from . import ops
-
-        return ops.reduce_sum(self, axis=axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        from . import ops
-
-        return ops.reduce_mean(self, axis=axis)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -92,24 +92,27 @@ class Encoder:
             p.grad = None
         return self
 
-    def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _check_input(self, x: np.ndarray, op: str) -> tuple[np.ndarray, bool]:
+        """``x`` as float64 rows and whether it was one vector; a width other
+        than ``input_dim`` is refused, naming ``op``, the pass called."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         if single:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ShapeError(
-                f"embed: expected inputs with {self.config.input_dim} features, "
+                f"{op}: expected inputs with {self.config.input_dim} features, "
                 f"got shape {x.shape}"
             )
         return x, single
 
-    def _forward(self, x: np.ndarray, inputs: list | None = None):
+    def _forward(self, x: np.ndarray, op: str, inputs: list | None = None):
         """The one MLP forward pass: dense layers with the bias added and the
         ReLU applied in place, then the unit normalization. Returns the
         embeddings, their pre-normalization norms and whether ``x`` was a
-        single vector; with ``inputs``, appends each layer's input to it."""
-        h, single = self._check_input(x)
+        single vector; with ``inputs``, appends each layer's input to it.
+        ``op`` names the pass in an input-width error."""
+        h, single = self._check_input(x, op)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
@@ -124,7 +127,7 @@ class Encoder:
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass; unit embeddings, one per input row
         (a single vector in gives a single vector out)."""
-        out, _, single = self._forward(x)
+        out, _, single = self._forward(x, "encode")
         return out[0] if single else out
 
     def embed(self, x: np.ndarray) -> Tensor:
@@ -132,10 +135,11 @@ class Encoder:
         weights and biases. Frozen encoders return a constant tensor, so no
         gradient can ever reach their parameters."""
         if self.frozen:
-            return Tensor(self.encode(x))
+            out, _, single = self._forward(x, "embed")
+            return Tensor(out[0] if single else out)
         weights = [w.data for w in self.weights]
         inputs = []
-        out, norms, single = self._forward(x, inputs)
+        out, norms, single = self._forward(x, "embed", inputs)
 
         def vjp(g: np.ndarray):
             # l2_normalize: project out the radial component where the norm

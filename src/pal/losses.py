@@ -16,14 +16,15 @@ Instances are summed, not averaged: callers that want a per-instance scale
 divide by the batch size themselves (the trainers do).
 
 The batch objectives the trainers call are single graph nodes: SupCon, CT
-and feature alignment all build one ``_contrastive_sum`` node, and
+and feature alignment all build one ``_contrastive_sum`` node,
 :func:`soft_cross_entropy_batch` (behind :func:`ce_loss_batch` and
-:func:`logit_align_loss_batch`) builds one node. Their backward passes replay
-the arithmetic of the composite log-sum-exp chains they replaced, so the
-gradients are bit-identical to those chains (``tests/oracles.py``). The
-KL term composes core ops. Each one-row loss (:func:`ce_loss`,
-:func:`soft_cross_entropy`, :func:`kl_loss`, :func:`logit_align_loss`) is
-its batch form applied to a 1-D row.
+:func:`logit_align_loss_batch`) builds one node, and so does
+:func:`kl_loss_batch`. Their backward passes replay the arithmetic of the
+composite chains they replaced (log-sum-exp; for KL, the floored log), so
+the gradients are bit-identical to those chains (``tests/oracles.py``).
+Each one-row loss (:func:`ce_loss`, :func:`soft_cross_entropy`,
+:func:`kl_loss`, :func:`logit_align_loss`) is its batch form applied to a
+1-D row.
 """
 from __future__ import annotations
 
@@ -34,18 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .batching import AnchorSets, other_view_mask, same_class_mask
-from .core import (
-    Tensor,
-    as_tensor,
-    clamp_min,
-    from_op,
-    log,
-    lse_softmax,
-    reduce_sum,
-    reshape,
-    scale,
-    softmax_temperature,
-)
+from .core import Tensor, as_tensor, from_op, lse_softmax, reshape, softmax_temperature
 from .encoders import CosineClassifier
 from .exceptions import ContractError, ParameterError, ShapeError
 
@@ -259,11 +249,15 @@ def kl_loss_batch(p_t: np.ndarray, p_s: Tensor) -> Tensor:
     are floored at 1e-12 before the log; flooring where the teacher has mass
     is reported through the module logger, loudly the first time and at
     debug level after that (every step of a KL-aligned run can floor a few
-    tail probabilities).
+    tail probabilities). One graph node over ``p_s``; a floored entry gets
+    no gradient. It replays the float operations of the composite
+    ``clamp_min``/``log``/``mul``/``sum``/``scale``/``add`` chain, forward
+    and backward (``tests/oracles.py``).
     """
     global _floor_reported
     p_t = np.asarray(p_t, dtype=np.float64)
-    p_s_data = p_s.data if isinstance(p_s, Tensor) else np.asarray(p_s, dtype=np.float64)
+    p_s = as_tensor(p_s)
+    p_s_data = p_s.data
     if p_t.shape != p_s_data.shape:
         raise ShapeError(f"kl_loss: teacher shape {p_t.shape} vs student shape {p_s_data.shape}")
     floored = int(np.count_nonzero((p_s_data < PROB_FLOOR) & (p_t > 0)))
@@ -272,8 +266,14 @@ def kl_loss_batch(p_t: np.ndarray, p_s: Tensor) -> Tensor:
         logger.log(level, "kl_loss: floored %d student probabilit(ies) at %g", floored, PROB_FLOOR)
         _floor_reported = True
     neg_entropy_t = float(np.sum(np.where(p_t > 0, p_t * np.log(np.where(p_t > 0, p_t, 1.0)), 0.0)))
-    cross = scale(reduce_sum(log(clamp_min(as_tensor(p_s), PROB_FLOOR)) * p_t), -1.0)
-    return cross + neg_entropy_t
+    clamped = np.maximum(p_s_data, PROB_FLOOR)
+    value = (np.log(clamped) * p_t).sum() * -1.0 + neg_entropy_t
+
+    def vjp(g: np.ndarray):
+        grad = np.broadcast_to(g * -1.0, clamped.shape).copy() * p_t / clamped
+        return (grad * (p_s_data >= PROB_FLOOR),)
+
+    return from_op(value, (p_s,), vjp, "kl")
 
 
 def logit_align_loss(

@@ -473,6 +473,11 @@ def _train_stage(
             f"variant {cfg.variant.value}: the partner embeds in {partner.config.embed_dim} "
             f"dimensions but the main encoder in {net.embed_dim}"
         )
+    if objective.needs_partner and partner.config.input_dim != base.dim:
+        raise ContractError(
+            f"variant {cfg.variant.value}: the partner takes {partner.config.input_dim} "
+            f"input features but the base split has {base.dim}"
+        )
 
     streams = _seed_streams(cfg)
     enc = net.encoder(base.dim, _seed_int(streams[f"{stage}_init"]))

@@ -8,9 +8,9 @@ episodic evaluation encodes each episode's own rows, the way it ran before it
 encoded the split once per call.
 
 The ``*_composite`` functions are the other kind of reference: the chains of
-core primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
-``log_sum_exp``, ``reduce_sum``, ...) that the package's fused graph nodes
-replaced. A fused node must reproduce its chain's value and every gradient
+primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
+``log_sum_exp``, ``reduce_sum``, ...; ``graph_ops.py``) that the package's
+fused graph nodes replaced. A fused node must reproduce its chain's value and every gradient
 bit for bit, so these are compared with ``np.array_equal``.
 
 The last section keeps the second implementations the package folded onto
@@ -23,16 +23,19 @@ import math
 
 import numpy as np
 
-from pal.core import (
-    Tensor,
-    as_tensor,
+from pal.core import Tensor, as_tensor, reshape, scale
+from pal.losses import PROB_FLOOR
+
+from graph_ops import (
+    clamp_min,
     l2_normalize,
+    log,
     log_sum_exp,
     matmul,
+    mul,
     reduce_sum,
     relu,
-    reshape,
-    scale,
+    sub,
     transpose,
 )
 
@@ -191,7 +194,7 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
 def embed_composite(enc, x) -> Tensor:
     """``Encoder.embed`` as a chain: matmul, bias add and ReLU per layer
     (no ReLU after the last), then ``l2_normalize``."""
-    h_arr, single = enc._check_input(x)
+    h_arr, single = enc._check_input(x, "embed")
     h = Tensor(h_arr)
     last = len(enc.weights) - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
@@ -204,7 +207,7 @@ def embed_composite(enc, x) -> Tensor:
 
 def logits_composite(clf, z: Tensor) -> Tensor:
     """``CosineClassifier.logits`` on a tensor as a chain."""
-    return matmul(z, transpose(clf.weights)) * clf.scale
+    return mul(matmul(z, transpose(clf.weights)), clf.scale)
 
 
 def contrastive_sum_composite(sims: Tensor, candidate_mask: np.ndarray, pos_mask: np.ndarray):
@@ -218,9 +221,9 @@ def contrastive_sum_composite(sims: Tensor, candidate_mask: np.ndarray, pos_mask
     pos_weights = pos_mask / np.maximum(counts, 1)[:, None]
     denom = log_sum_exp(sims + np.where(has_pos[:, None], candidate_mask, 0.0), axis=-1)
     if skipped:
-        denom = denom * has_pos
-    numer = reduce_sum(sims * pos_weights)
-    return reduce_sum(denom) - numer, skipped
+        denom = mul(denom, has_pos)
+    numer = reduce_sum(mul(sims, pos_weights))
+    return sub(reduce_sum(denom), numer), skipped
 
 
 def supct_composite(view):
@@ -243,7 +246,17 @@ def feat_align_composite(z_main, anchors, tau: float):
 
 def soft_cross_entropy_batch_composite(p_targets, logits: Tensor) -> Tensor:
     p_targets = np.asarray(p_targets, dtype=np.float64)
-    return reduce_sum(log_sum_exp(logits, axis=-1)) - reduce_sum(logits * p_targets)
+    return sub(reduce_sum(log_sum_exp(logits, axis=-1)), reduce_sum(mul(logits, p_targets)))
+
+
+def kl_composite(p_t, p_s: Tensor) -> Tensor:
+    """``kl_loss_batch`` (without its floor report) as the chain it
+    replaced: ``-sum(log(max(p_s, floor)) * p_t)`` plus the teacher's
+    negative entropy."""
+    p_t = np.asarray(p_t, dtype=np.float64)
+    neg_entropy_t = float(np.sum(np.where(p_t > 0, p_t * np.log(np.where(p_t > 0, p_t, 1.0)), 0.0)))
+    cross = scale(reduce_sum(mul(log(clamp_min(as_tensor(p_s), PROB_FLOOR)), p_t)), -1.0)
+    return cross + neg_entropy_t
 
 
 # ---- folded-away second implementations --------------------------------------
@@ -252,7 +265,7 @@ def encode_loop(enc, x) -> np.ndarray:
     """``Encoder.encode`` as it ran beside ``embed``: ``h @ w + b`` and
     ``np.maximum(h, 0)`` per layer (no ReLU after the last), then
     ``l2_normalize``."""
-    h, single = enc._check_input(x)
+    h, single = enc._check_input(x, "encode")
     last = len(enc.weights) - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         h = h @ w.data + b.data

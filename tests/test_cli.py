@@ -13,6 +13,7 @@ import pytest
 import pal
 from pal.cli import main
 from pal.data import Split, load_dataset, save_dataset
+from pal.encoders import Encoder, EncoderConfig, save_encoder
 
 TRAIN_TINY = [
     "--set", "train.epochs=2",
@@ -133,6 +134,45 @@ def test_partner_of_another_width_is_one_error_line(data_dir, tmp_path, capsys, 
     line = _one_error_line(capsys)
     assert "16" in line and "32" in line and variant in line
     assert not out.exists()
+
+
+@pytest.fixture
+def narrow_encoder(tmp_path):
+    """A checkpoint of an encoder that takes 16 features; the generated
+    splits have 32."""
+    path = tmp_path / "narrow.palw"
+    save_encoder(Encoder(EncoderConfig(input_dim=16, seed=1)), path)
+    return path
+
+
+@pytest.mark.parametrize("variant", ["PAL", "PAL_KL_logit"])
+def test_partner_of_another_input_width_is_one_error_line(data_dir, tmp_path, capsys,
+                                                          narrow_encoder, variant):
+    out = tmp_path / "main"
+    code = main(["train-main", "--base", str(data_dir / "base.pald"),
+                 "--partner", str(narrow_encoder), "--out", str(out),
+                 "--set", f"train.variant={variant}", *TRAIN_TINY])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert f"variant {variant}: the partner takes 16 input features" in line
+    assert "base split has 32" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eval-episodes", "--episodes", "5", "--csv"],
+    ["dump-embeddings", "--out"],
+], ids=["eval-episodes", "dump-embeddings"])
+def test_checkpoint_of_another_width_names_encode(data_dir, tmp_path, capsys, narrow_encoder,
+                                                  command):
+    out_csv = tmp_path / "out.csv"
+    code = main([command[0], "--checkpoint", str(narrow_encoder),
+                 "--data", str(data_dir / "novel.pald"), *command[1:], str(out_csv)])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert line.startswith("pal: error: encode: expected inputs with 16 features, got shape (")
+    assert line.endswith(", 32)")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("command,stage", [

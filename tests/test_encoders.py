@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pal.core import Tensor, backward, reduce_sum
+from pal.core import Tensor, backward
 from pal.encoders import (
     CosineClassifier,
     Encoder,
@@ -16,6 +16,7 @@ from pal.encoders import (
 )
 from pal.exceptions import FormatError, ParameterError, ShapeError
 
+from graph_ops import mul, reduce_sum
 from oracles import encode_loop
 
 
@@ -61,10 +62,20 @@ def test_embed_dimension_mismatch(config):
         enc.embed(np.zeros((2, 7)))
 
 
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("op", ["embed", "encode"])
+def test_width_error_names_the_pass_called(config, op, frozen):
+    enc = Encoder(config)
+    if frozen:
+        enc.freeze()
+    with pytest.raises(ShapeError, match=rf"^{op}: expected inputs with 6 features, got shape \(2, 7\)$"):
+        getattr(enc, op)(np.zeros((2, 7)))
+
+
 def test_frozen_encoder_gets_no_gradients(config):
     enc = Encoder(config).freeze()
     z = enc.embed(np.random.default_rng(2).normal(size=(4, 6)))
-    loss = reduce_sum(z * np.ones_like(z.data))
+    loss = reduce_sum(mul(z, np.ones_like(z.data)))
     assert not loss.requires_grad
     for p in enc.parameters():
         assert p.grad is None
@@ -73,7 +84,7 @@ def test_frozen_encoder_gets_no_gradients(config):
 def test_trainable_encoder_gets_gradients(config):
     enc = Encoder(config)
     z = enc.embed(np.random.default_rng(3).normal(size=(4, 6)))
-    backward(reduce_sum(z * np.random.default_rng(4).normal(size=z.shape)))
+    backward(reduce_sum(mul(z, np.random.default_rng(4).normal(size=z.shape))))
     for p in enc.parameters():
         assert p.grad is not None
         assert p.grad.shape == p.data.shape

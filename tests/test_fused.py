@@ -7,22 +7,28 @@ import numpy as np
 import pytest
 
 from pal.batching import AugmentConfig, build_batch, sample_anchor_sets
-from pal.core import Tensor, backward, reduce_sum, scale
+from pal.core import Tensor, backward, scale, softmax, softmax_temperature
 from pal.core.gradcheck import check_gradient
 from pal.data import SyntheticSpec, generate_synthetic
 from pal.encoders import CosineClassifier, Encoder, EncoderConfig
 from pal.losses import (
+    PROB_FLOOR,
     ContrastiveBatchView,
+    SoftLabel,
     ct_loss,
     feat_align_loss,
+    kl_loss,
+    kl_loss_batch,
     soft_cross_entropy_batch,
     supct_loss,
 )
 from pal.training import NetConfig, TrainConfig, Variant, train_partner, train_variant
 
+from graph_ops import mul, reduce_sum
 from oracles import (
     embed_composite,
     feat_align_composite,
+    kl_composite,
     logits_composite,
     random_simplex,
     random_unit_rows,
@@ -86,8 +92,8 @@ def test_embed_matches_composite(encoder, rows):
         x = x[0] + rng.normal(size=6)
     weight = rng.normal(size=(rows, 4) if rows > 1 else 4)
     params = encoder.parameters()
-    assert_same_bytes(lambda: reduce_sum(encoder.embed(x) * weight),
-                      lambda: reduce_sum(embed_composite(encoder, x) * weight), params)
+    assert_same_bytes(lambda: reduce_sum(mul(encoder.embed(x), weight)),
+                      lambda: reduce_sum(mul(embed_composite(encoder, x), weight)), params)
     assert encoder.embed(x).op == ("reshape" if rows == 1 else "embed")
 
 
@@ -97,8 +103,8 @@ def test_logits_match_composite(shape):
     clf = CosineClassifier(n_classes=5, embed_dim=4, scale=10.0, seed=2)
     z = Tensor(rng.normal(size=shape), requires_grad=True)
     weight = rng.normal(size=(*shape[:-1], 5))
-    assert_same_bytes(lambda: reduce_sum(clf.logits(z) * weight),
-                      lambda: reduce_sum(logits_composite(clf, z) * weight),
+    assert_same_bytes(lambda: reduce_sum(mul(clf.logits(z), weight)),
+                      lambda: reduce_sum(mul(logits_composite(clf, z), weight)),
                       [z, clf.weights])
 
 
@@ -160,6 +166,42 @@ def test_soft_cross_entropy_matches_composite(saturated):
                           [logits])
 
 
+@pytest.mark.parametrize("tau, logit_scale", [(0.5, 1.0), (0.05, 10.0), (1.0, 1.0)],
+                         ids=["batch", "saturated", "mutual"])
+def test_kl_matches_composite(caplog, tau, logit_scale):
+    """The ``kl`` node against the clamp/log/mul/sum/scale/add chain on an
+    (n, C) batch whose teacher has exact zeros: at tau = 0.05 over cosine-
+    scale logits most student entries are floored and get no gradient; tau
+    = 1 is the ``Mutual`` case. The floor record keeps its text and count."""
+    rng = np.random.default_rng(13)
+    logits = Tensor(rng.normal(size=(N, 5)) * logit_scale, requires_grad=True)
+    teacher = softmax_temperature(rng.normal(size=(N, 5)) * logit_scale, tau)
+    teacher[:3] = np.eye(5)[:3]
+    p_s = softmax_temperature(logits, tau).data
+    floored = int(np.count_nonzero((p_s < PROB_FLOOR) & (teacher > 0)))
+    assert (floored > 0) == (tau == 0.05)
+
+    caplog.set_level("DEBUG", logger="pal.losses")
+    kl_loss_batch(teacher, softmax_temperature(logits, tau))
+    records = [r for r in caplog.records if r.msg.startswith("kl_loss: floored")]
+    assert [(r.msg, r.args) for r in records] == (
+        [("kl_loss: floored %d student probabilit(ies) at %g", (floored, PROB_FLOOR))]
+        if floored else [])
+    assert_same_bytes(lambda: scale(kl_loss_batch(teacher, softmax_temperature(logits, tau)), 0.25),
+                      lambda: scale(kl_composite(teacher, softmax_temperature(logits, tau)), 0.25),
+                      [logits])
+
+
+def test_kl_row_with_soft_label_matches_composite():
+    rng = np.random.default_rng(14)
+    logits = Tensor(rng.normal(size=5), requires_grad=True)
+    teacher = random_simplex(rng, 5)
+    node = kl_loss(SoftLabel(teacher), softmax(logits))
+    assert node.op == "kl" and node._parents[0].op == "softmax"
+    assert_same_bytes(lambda: kl_loss(SoftLabel(teacher), softmax(logits)),
+                      lambda: kl_composite(teacher, softmax(logits)), [logits])
+
+
 def test_shared_step_accumulates_like_composite(encoder):
     """One encoder pass feeding the classifier (CE plus logit alignment), the
     anchors and an auxiliary SupCon term: every parameter gradient, summed
@@ -203,12 +245,12 @@ def test_fused_nodes_match_finite_differences(encoder):
             params[i] = t
             enc = Encoder(encoder.config)
             enc.weights, enc.biases = params[:3], params[3:]
-            return reduce_sum(enc.embed(x) * weight)
+            return reduce_sum(mul(enc.embed(x), weight))
 
         check_gradient(embed_with, param.data)
 
     clf = CosineClassifier(n_classes=3, embed_dim=4, scale=8.0, seed=1)
-    check_gradient(lambda t: reduce_sum(clf.logits(t) * weight[:, :3]), rng.normal(size=(5, 4)))
+    check_gradient(lambda t: reduce_sum(mul(clf.logits(t), weight[:, :3])), rng.normal(size=(5, 4)))
 
     labels = _labels(rng, N, singletons=2)
     z0 = random_unit_rows(rng, N, 4)
@@ -219,18 +261,25 @@ def test_fused_nodes_match_finite_differences(encoder):
 
     soft = np.stack([random_simplex(rng, 5) for _ in range(N)])
     check_gradient(lambda t: soft_cross_entropy_batch(soft, t), rng.normal(size=(N, 5)))
+    check_gradient(lambda t: kl_loss_batch(soft, softmax_temperature(t, tau)),
+                   rng.normal(size=(N, 5)))
 
 
-def _interior_nodes(root) -> int:
-    seen, stack, count = {id(root)}, [root], 0
+def _graph(root) -> list:
+    """Every node reachable from ``root``, leaves included."""
+    seen, stack, nodes = {id(root)}, [root], []
     while stack:
         node = stack.pop()
-        count += node._vjp is not None
+        nodes.append(node)
         for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return nodes
+
+
+def _interior_nodes(root) -> int:
+    return sum(node._vjp is not None for node in _graph(root))
 
 
 def test_training_step_graph_sizes(monkeypatch):
@@ -259,3 +308,41 @@ def test_training_step_graph_sizes(monkeypatch):
     train_variant(base, cfg, net=net)
     main_sizes = sizes[2 * partner_steps:]
     assert main_sizes and max(main_sizes) <= 11
+
+
+TRAINING_NODES = {"leaf", "embed", "logits", "contrastive", "soft_cross_entropy", "kl",
+                  "softmax", "scale", "add", "reshape"}
+
+
+def test_every_variant_builds_only_training_nodes(monkeypatch):
+    """One tiny epoch of each variant builds only the fused nodes and the
+    scalings, sums and KL student softmax around them. A PAL_KL_logit main
+    step is the PAL one without feature alignment and with its soft
+    cross-entropy swapped for the KL term's scale, softmax and kl nodes; the
+    composite KL chain added clamp_min, log, mul and sum nodes."""
+    import pal.training
+
+    graphs = []
+    real_backward = pal.training.backward
+
+    def recording_backward(root):
+        graphs.append(_graph(root))
+        real_backward(root)
+
+    monkeypatch.setattr(pal.training, "backward", recording_backward)
+    base = generate_synthetic(SyntheticSpec(n_base_classes=4, n_novel_classes=2,
+                                            items_per_class=8, raw_dim=8, seed=1)).base
+    net = NetConfig(hidden_dims=(8,), embed_dim=4)
+    for variant in Variant:
+        graphs.clear()
+        train_variant(base, TrainConfig(epochs=1, lr_decay_epoch=1, warmup_epochs=0,
+                                        batch_size=8, variant=variant), net=net)
+        assert graphs
+        built = {node.op for graph in graphs for node in graph}
+        assert built <= TRAINING_NODES, (variant, built - TRAINING_NODES)
+        if variant in (Variant.PAL_KL_LOGIT, Variant.PAL_FEAT_KL, Variant.MUTUAL):
+            assert "kl" in built
+        if variant == Variant.PAL_KL_LOGIT:
+            kl_steps = [graph for graph in graphs if any(n.op == "kl" for n in graph)]
+            assert kl_steps
+            assert max(sum(n._vjp is not None for n in graph) for graph in kl_steps) <= 10
