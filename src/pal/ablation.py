@@ -105,8 +105,7 @@ def run_table(
     base = load_dataset(base_path)
     novel = load_dataset(novel_path)
     drawn = {k: draw_episodes(novel, WAYS, k, q, episodes, eval_seed(cfg)) for k in SHOTS}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)  # each row's stage writes create it
     run_one = partial(_run_one, base=base, novel=novel, aug=aug, net=net,
                       out_dir=out, q=q, drawn=drawn)
     cfgs = [replace(cfg, variant=variant) for variant in TABLE_VARIANTS[table]]

@@ -3,36 +3,64 @@
 These classes follow the scikit-learn protocol (``fit``/``transform``/
 ``predict`` plus ``get_params``/``set_params``) without importing sklearn,
 so they drop into pipelines and grid searches that only rely on the
-protocol. Constructor arguments are stored verbatim; everything learned in
-``fit`` lands on trailing-underscore attributes.
+protocol. Each estimator is a dataclass whose fields are its constructor
+parameters, stored verbatim; everything learned in ``fit`` lands on
+trailing-underscore attributes. The input checks (a finite non-empty 2-D
+``X``, integer labels of matching length, fitted before use) live here too.
 """
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .batching import AugmentConfig
 from .core import l2_normalize
 from .data import Split
-from .exceptions import ParameterError
-from .training import NetConfig, TrainConfig, Variant, train_variant
-from .validation import check_fitted, check_labels, check_matrix
+from .encoders import Encoder
+from .exceptions import ParameterError, ShapeError
+from .training import NetConfig, TrainConfig, train_variant
+
+
+def check_matrix(X, name: str = "X") -> np.ndarray:
+    """Coerce to a finite 2-D float64 array."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+        raise ShapeError(f"{name} must be a nonempty 2-D array, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ParameterError(f"{name} contains non-finite values")
+    return X
+
+
+def check_labels(y, n_rows: int, name: str = "y") -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1 or len(y) != n_rows:
+        raise ShapeError(f"{name} must be 1-D with {n_rows} entries, got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        rounded = np.asarray(y, dtype=np.int64)
+        if not np.all(rounded == y):
+            raise ParameterError(f"{name} must hold integer class ids")
+        y = rounded
+    return y.astype(np.int64)
+
+
+def check_fitted(estimator, attribute: str) -> None:
+    if not hasattr(estimator, attribute):
+        raise ParameterError(
+            f"{type(estimator).__name__} is not fitted yet; call fit before predict/transform"
+        )
 
 
 class BaseEstimator:
-    """get_params/set_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+    """get_params/set_params over the dataclass fields."""
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._param_names())
+        valid = self.get_params()
         for key, value in params.items():
             if key not in valid:
                 raise ParameterError(
@@ -42,11 +70,8 @@ class BaseEstimator:
             setattr(self, key, value)
         return self
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
-
+@dataclass(eq=False)
 class PrototypeClassifier(BaseEstimator):
     """Cosine nearest-prototype classifier.
 
@@ -55,8 +80,7 @@ class PrototypeClassifier(BaseEstimator):
     prototype has the highest cosine similarity, ties to the lowest class.
     """
 
-    def __init__(self, encoder=None):
-        self.encoder = encoder
+    encoder: Encoder | None = None
 
     def _embed(self, X: np.ndarray) -> np.ndarray:
         if self.encoder is not None:
@@ -82,6 +106,7 @@ class PrototypeClassifier(BaseEstimator):
         return float(np.mean(self.predict(X) == y))
 
 
+@dataclass(eq=False)
 class PALRepresentation(BaseEstimator):
     """Two-stage representation learner behind fit/transform.
 
@@ -94,32 +119,18 @@ class PALRepresentation(BaseEstimator):
     ``TrainConfig()`` schedule; the CLI trains ``config.DESK_TRAIN`` instead.
     """
 
-    def __init__(
-        self,
-        variant: str = "PAL",
-        train_config: TrainConfig | None = None,
-        augment_config: AugmentConfig | None = None,
-        classifier_scale: float = 10.0,
-    ):
-        self.variant = variant
-        self.train_config = train_config
-        self.augment_config = augment_config
-        self.classifier_scale = classifier_scale
+    variant: str = "PAL"
+    train_config: TrainConfig | None = None
+    augment_config: AugmentConfig | None = None
+    classifier_scale: float = 10.0
 
     def fit(self, X, y) -> "PALRepresentation":
         X = check_matrix(X)
         y = check_labels(y, len(X))
-        cfg = self.train_config if self.train_config is not None else TrainConfig()
-        variant = Variant.parse(self.variant) if isinstance(self.variant, str) else self.variant
-        if cfg.variant != variant:
-            from dataclasses import replace
-
-            cfg = replace(cfg, variant=variant)
-        split = Split(
-            x=X.astype(np.float32),
-            y=y.astype(np.int32),
-            label_width=int(y.max()) + 1,
-        )
+        # TrainConfig parses the variant name, and refuses an unknown one.
+        cfg = replace(self.train_config or TrainConfig(), variant=self.variant)
+        split = Split(x=X.astype(np.float32), y=y.astype(np.int32),
+                      label_width=int(y.max()) + 1)
         result = train_variant(
             split, cfg, aug=self.augment_config, net=NetConfig(scale=self.classifier_scale)
         )

@@ -391,13 +391,6 @@ def _fit(
     return metrics
 
 
-def _require_rows(base: Split, variant: Variant, stage: str) -> None:
-    """Reject an empty split, naming the variant and stage, before any model
-    is built."""
-    if len(base.y) == 0:
-        raise ParameterError(f"{variant.value} {stage} stage: the base split has no rows")
-
-
 def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
     """Write a stage's outputs as ``{role}_encoder.palw``,
     ``{role}_classifier.palw`` and ``metrics_{role}.csv`` under ``out_dir``
@@ -453,6 +446,21 @@ _OBJECTIVES = {
     Variant.PAL_KL_LOGIT: (_SUPCT, _Objective(ce=True, align="kl")),
     Variant.PAL_FEAT_KL: (_SUPCT, _Objective(ce=True, feat=True, align="kl")),
 }
+
+
+def _require_rows(base: Split, variant: Variant, stage: str) -> None:
+    """Reject a split the stage cannot train on, naming the variant and stage,
+    before any model is built: an empty one, or one of fewer than 2 classes
+    when the stage's objective has cross-entropy (every ``Mutual`` stage)."""
+    if len(base.y) == 0:
+        raise ParameterError(f"{variant.value} {stage} stage: the base split has no rows")
+    objective = _OBJECTIVES[variant][("partner", "main").index(stage)]
+    n_classes = len(base.classes)
+    if n_classes < 2 and (variant == Variant.MUTUAL or objective is not None and objective.ce):
+        raise ParameterError(
+            f"{variant.value} {stage} stage: cross-entropy needs >= 2 base classes, "
+            f"got {n_classes}"
+        )
 
 
 def _train_stage(
@@ -635,9 +643,11 @@ def train_variant(
     """Run the full training scheme selected by ``cfg.variant`` and return
     the encoder to be evaluated plus everything trained along the way."""
     variant = cfg.variant
-    # The first stage to run; a CE partner runs under a CE_only config, so
-    # its stage is named here.
-    _require_rows(base, variant, "main" if _OBJECTIVES[variant][0] is None else "partner")
+    # Every stage is checked before the first one writes anything; a CE
+    # partner runs under a CE_only config, so its stage is named here.
+    stages = [s for s, o in zip(("partner", "main"), _OBJECTIVES[variant]) if o is not None]
+    for stage in stages or ["main"]:
+        _require_rows(base, variant, stage)
     if variant == Variant.MUTUAL:
         return _train_mutual(base, cfg, aug, out_dir, net)
 

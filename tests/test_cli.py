@@ -194,6 +194,41 @@ def test_empty_base_split_is_one_error_line(tmp_path, capsys, command, stage):
     assert not out.exists()
 
 
+@pytest.fixture
+def one_class(tmp_path):
+    """A base split whose 16 rows all hold class 3."""
+    path = tmp_path / "one_class.pald"
+    x = np.random.default_rng(0).normal(size=(16, 32)).astype(np.float32)
+    save_dataset(Split(x, np.full(16, 3, np.int32), 28), path)
+    return path
+
+
+@pytest.mark.parametrize("command,stage", [
+    (["train-variant", "--variant", "PAL"], "PAL main stage"),
+    (["train-variant", "--variant", "Reverse"], "Reverse partner stage"),
+    (["train-variant", "--variant", "Mutual"], "Mutual main stage"),
+    (["train-variant", "--variant", "CE_only"], "CE_only main stage"),
+    (["train-main"], "PAL main stage"),
+], ids=["PAL", "Reverse", "Mutual", "CE_only", "train-main"])
+def test_single_class_base_split_is_one_error_line(one_class, tmp_path, capsys, command, stage):
+    """A cross-entropy stage refuses one class before any stage writes: PAL's
+    contrastive partner would otherwise train and be saved first."""
+    out = tmp_path / "run"
+    assert main([*command, "--base", str(one_class), "--out", str(out), *TRAIN_TINY]) == 1
+    line = _one_error_line(capsys)
+    assert f"{stage}: cross-entropy needs >= 2 base classes, got 1" in line
+    assert not out.exists()
+
+
+def test_single_class_grid_leaves_no_out_dir(one_class, data_dir, tmp_path, capsys):
+    out = tmp_path / "grid"
+    assert main(["ablate", "--table", "5", "--base", str(one_class),
+                 "--data", str(data_dir / "novel.pald"), "--out", str(out),
+                 "--episodes", "10", *TRAIN_TINY]) == 1
+    assert "CE_only main stage: cross-entropy needs >= 2" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_ablate_table4_rows(data_dir, tmp_path, capsys):
     out = tmp_path / "grid"
     assert main(["ablate", "--table", "4",

@@ -4,11 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pal.batching import AugmentConfig
 from pal.encoders import Encoder, EncoderConfig
 from pal.episodes import classify_query
 from pal.estimators import PALRepresentation, PrototypeClassifier
 from pal.exceptions import ParameterError, ShapeError
-from pal.training import TrainConfig
+from pal.training import TrainConfig, Variant
 
 
 def blobs(rng, n_classes=4, per_class=30, dim=6, spread=4.0):
@@ -29,6 +30,47 @@ def test_get_set_params_roundtrip():
     assert est.classifier_scale == 5.0
     with pytest.raises(ParameterError, match="invalid parameter"):
         est.set_params(gamma=1.0)
+
+
+def test_repr_strings():
+    assert repr(PrototypeClassifier()) == "PrototypeClassifier(encoder=None)"
+    assert repr(PALRepresentation(variant="CE_only")) == (
+        "PALRepresentation(variant='CE_only', train_config=None, augment_config=None, "
+        "classifier_scale=10.0)"
+    )
+
+
+@pytest.mark.parametrize("est", [
+    PrototypeClassifier(),
+    PALRepresentation(),
+    PALRepresentation("Mutual", TrainConfig(epochs=1, lr_decay_epoch=1, warmup_epochs=0),
+                      AugmentConfig(), 5.0),
+], ids=["PrototypeClassifier", "PALRepresentation", "PALRepresentation-set"])
+def test_clone_round_trip(est):
+    params = est.get_params()
+    assert type(est)(**params).get_params() == params
+
+
+def test_positional_construction_order():
+    enc = Encoder(EncoderConfig(input_dim=4, hidden_dims=(8,), embed_dim=4, seed=0))
+    assert PrototypeClassifier(enc).encoder is enc
+    cfg, aug = TrainConfig(), AugmentConfig()
+    assert PALRepresentation("CE_only", cfg, aug, 2.0).get_params() == {
+        "variant": "CE_only", "train_config": cfg, "augment_config": aug,
+        "classifier_scale": 2.0,
+    }
+    assert list(PALRepresentation().get_params()) == [
+        "variant", "train_config", "augment_config", "classifier_scale",
+    ]
+
+
+def test_unknown_variant_raises_from_fit():
+    est = PALRepresentation(variant="PAL_typo")  # construction stores it verbatim
+    X, y = blobs(np.random.default_rng(4), n_classes=2, per_class=4)
+    names = [v.value for v in Variant]
+    with pytest.raises(ParameterError) as exc:
+        est.fit(X, y)
+    assert str(exc.value) == f"unknown variant 'PAL_typo'; expected one of {names}"
 
 
 def test_prototype_classifier_separable_blobs():

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import pal
 import pal.core
 from pal.core import Tensor, add, backward, softmax, softmax_temperature
 from pal.core.gradcheck import max_relative_error
@@ -229,3 +231,12 @@ def test_core_exports_only_the_engine():
     assert (x + 1.0).op == (1.0 + x).op == "add"
     for other_operator in ("__sub__", "__mul__", "__matmul__", "__neg__", "sum", "mean"):
         assert not hasattr(x, other_operator)
+
+
+def test_package_modules_are_pinned():
+    """A helper module with one caller belongs in that caller; a new module
+    in ``pal`` must be named here."""
+    assert {m.name for m in pkgutil.iter_modules(pal.__path__)} == {
+        "ablation", "batching", "cli", "config", "core", "data", "encoders",
+        "episodes", "estimators", "exceptions", "losses", "training",
+    }
