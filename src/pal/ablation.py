@@ -7,6 +7,12 @@ share only read-only inputs: the two splits, and one episode set per shot,
 drawn once per grid. Every row evaluates under the same seed, so every row
 is scored on the same episodes, and ``jobs > 1`` executes rows in worker
 processes that get those inputs as arguments.
+
+With ``jobs == 1`` the rows share one dict of trained partner stages per
+:func:`run_table` call (``train_variant``'s ``reuse``), so a partner stage
+several rows share trains once (table 5: 7 stages, not 11; table 3: 7, not
+8) and each row still writes its own files, byte for byte. Worker rows do
+not share stages.
 """
 from __future__ import annotations
 
@@ -66,9 +72,10 @@ class AblationRow:
 ROW_COLUMNS = tuple(f.name for f in fields(AblationRow))
 
 
-def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, q, drawn) -> AblationRow:
+def _run_one(cfg: TrainConfig, *, base, novel, aug, net, out_dir, q, drawn,
+             reuse=None) -> AblationRow:
     run_dir = Path(out_dir) / cfg.variant.value
-    result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net)
+    result = train_variant(base, cfg, aug=aug, out_dir=run_dir, net=net, reuse=reuse)
     stats = []
     for k in SHOTS:
         report = evaluate(result.encoder, novel, n=WAYS, k=k, q=q, episodes=drawn[k])
@@ -116,7 +123,7 @@ def run_table(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_one, cfgs))
     else:
-        rows = list(map(run_one, cfgs))
+        rows = list(map(partial(run_one, reuse={}), cfgs))
 
     path = out / f"table{table}.csv"
     write_csv(path, ROW_COLUMNS, map(astuple, rows))

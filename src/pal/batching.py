@@ -129,16 +129,6 @@ def mask_rows(mask: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.split(cols, np.cumsum(np.count_nonzero(mask, axis=1))[:-1]))
 
 
-def positive_index_sets(batch: AugmentedBatch, mode: str) -> list[np.ndarray]:
-    """Per-instance positive indices: same-class peers (supervised) or just
-    the other view (unsupervised)."""
-    if mode == "supervised":
-        return list(mask_rows(same_class_mask(batch.labels)))
-    if mode == "unsupervised":
-        return list(mask_rows(other_view_mask(batch.size)))
-    raise ParameterError(f"mode must be 'supervised' or 'unsupervised', got {mode!r}")
-
-
 @dataclass
 class AnchorSets:
     """Per-instance positive/negative anchors from the frozen partner.
@@ -190,16 +180,6 @@ class AnchorSets:
     @property
     def neg_indices(self) -> tuple[np.ndarray, ...]:
         return mask_rows(self.neg_mask)
-
-    def validate(self) -> None:
-        same = self.instance_labels[:, None] == self.anchor_labels[None, :]
-        for bad, what in (
-            (self.pos_mask & ~same, "positive anchor with a different class"),
-            (self.neg_mask & same, "negative anchor with the same class"),
-        ):
-            rows = np.flatnonzero(bad.any(axis=1))
-            if len(rows):
-                raise ContractError(f"instance {rows[0]}: {what}")
 
 
 def sample_anchor_sets(

@@ -73,6 +73,8 @@ class SyntheticSpec:
             raise ParameterError(f"margin must be >= 0, got {self.margin}")
         if self.world_depth < 0:
             raise ParameterError(f"world_depth must be >= 0, got {self.world_depth}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -286,13 +286,3 @@ def save_classifier(clf: CosineClassifier, path) -> None:
     # slot is zeros, kept only so the container format stays uniform.
     w = clf.weights.data.T
     _write_palw(path, [(w, np.zeros(w.shape[1]))])
-
-
-def load_classifier(path, scale: float = 10.0) -> CosineClassifier:
-    layers = _read_palw(path)
-    if len(layers) != 1:
-        raise FormatError(f"{path}: a classifier checkpoint holds exactly 1 layer")
-    w, _ = layers[0]
-    clf = CosineClassifier(n_classes=w.shape[1], embed_dim=w.shape[0], scale=scale)
-    clf.weights.data = w.T.copy()
-    return clf

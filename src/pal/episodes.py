@@ -79,16 +79,6 @@ class Episode:
     x: np.ndarray = field(repr=False)  # the split's rows, shared, not copied
 
     @property
-    def support_x(self) -> np.ndarray:
-        """(n*k, dim) support rows, k per class in class order."""
-        return self.x[self.rows[:, : self.k].ravel()].astype(np.float64)
-
-    @property
-    def query_x(self) -> np.ndarray:
-        """(n*q, dim) query rows, q per class in class order."""
-        return self.x[self.rows[:, self.k :].ravel()].astype(np.float64)
-
-    @property
     def support_y(self) -> np.ndarray:
         """(n*k,) positions into ``classes``."""
         return np.repeat(np.arange(len(self.classes)), self.k)
@@ -170,6 +160,8 @@ def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
 def _generator(rng: int | None) -> np.random.Generator:
     if rng is not None and not isinstance(rng, (int, np.integer)):
         raise ParameterError(f"rng must be an int seed or None, got {type(rng).__name__}")
+    if rng is not None and rng < 0:
+        raise ParameterError(f"rng must be a seed >= 0, got {rng}")
     return np.random.default_rng(0 if rng is None else int(rng))
 
 

@@ -13,9 +13,11 @@ primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
 fused graph nodes replaced. A fused node must reproduce its chain's value and every gradient
 bit for bit, so these are compared with ``np.array_equal``.
 
-The last section keeps the second implementations the package folded onto
+A further section keeps the second implementations the package folded onto
 one (the graph-free encoder pass, the vanilla SGD step, the direct softmax):
-the merged path must still give their bytes.
+the merged path must still give their bytes. The last one holds helpers that
+only the tests call (index-set views of the masks, an anchor-set check,
+per-epoch metric means, a classifier checkpoint reader, episode rows).
 """
 from __future__ import annotations
 
@@ -23,7 +25,10 @@ import math
 
 import numpy as np
 
+from pal.batching import mask_rows, other_view_mask, same_class_mask
 from pal.core import Tensor, as_tensor, reshape, scale
+from pal.encoders import CosineClassifier, _read_palw
+from pal.exceptions import ContractError, FormatError, ParameterError
 from pal.losses import PROB_FLOOR
 
 from graph_ops import (
@@ -289,3 +294,57 @@ def softmax_shifted_exp(arr, axis: int = -1) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     shifted = np.exp(arr - arr.max(axis=axis, keepdims=True))
     return shifted / shifted.sum(axis=axis, keepdims=True)
+
+
+# ---- helpers only the tests call --------------------------------------------
+
+def positive_index_sets(batch, mode: str) -> list[np.ndarray]:
+    """Per-instance positive indices: same-class peers (supervised) or just
+    the other view (unsupervised)."""
+    if mode == "supervised":
+        return list(mask_rows(same_class_mask(batch.labels)))
+    if mode == "unsupervised":
+        return list(mask_rows(other_view_mask(batch.size)))
+    raise ParameterError(f"mode must be 'supervised' or 'unsupervised', got {mode!r}")
+
+
+def validate_anchor_sets(anchors) -> None:
+    """Refuse an ``AnchorSets`` with a positive of another class or a
+    negative of the same class, naming the first such instance."""
+    same = anchors.instance_labels[:, None] == anchors.anchor_labels[None, :]
+    for bad, what in (
+        (anchors.pos_mask & ~same, "positive anchor with a different class"),
+        (anchors.neg_mask & same, "negative anchor with the same class"),
+    ):
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            raise ContractError(f"instance {rows[0]}: {what}")
+
+
+def epoch_means(metrics, column: str) -> list[float]:
+    """The mean of ``column`` over each epoch's rows of a ``MetricsLogger``."""
+    by_epoch: dict[int, list[float]] = {}
+    for row in metrics.rows:
+        by_epoch.setdefault(row["epoch"], []).append(row[column])
+    return [float(np.mean(by_epoch[e])) for e in sorted(by_epoch)]
+
+
+def load_classifier(path, scale: float = 10.0) -> CosineClassifier:
+    """Read a classifier checkpoint written by ``save_classifier``."""
+    layers = _read_palw(path)
+    if len(layers) != 1:
+        raise FormatError(f"{path}: a classifier checkpoint holds exactly 1 layer")
+    w, _ = layers[0]
+    clf = CosineClassifier(n_classes=w.shape[1], embed_dim=w.shape[0], scale=scale)
+    clf.weights.data = w.T.copy()
+    return clf
+
+
+def episode_support_x(ep) -> np.ndarray:
+    """An ``Episode``'s (n*k, dim) support rows, k per class in class order."""
+    return ep.x[ep.rows[:, : ep.k].ravel()].astype(np.float64)
+
+
+def episode_query_x(ep) -> np.ndarray:
+    """An ``Episode``'s (n*q, dim) query rows, q per class in class order."""
+    return ep.x[ep.rows[:, ep.k :].ravel()].astype(np.float64)

@@ -10,7 +10,6 @@ from pal.batching import (
     augment,
     build_batch,
     mask_rows,
-    positive_index_sets,
     sample_anchor_sets,
 )
 from pal.core import backward
@@ -18,7 +17,13 @@ from pal.encoders import Encoder, EncoderConfig
 from pal.exceptions import ContractError, ParameterError, ShapeError
 from pal.losses import ContrastiveBatchView, feat_align_loss
 
-from oracles import anchor_sets_loop, other_view_sets_loop, positive_sets_loop
+from oracles import (
+    anchor_sets_loop,
+    other_view_sets_loop,
+    positive_index_sets,
+    positive_sets_loop,
+    validate_anchor_sets,
+)
 
 
 @pytest.fixture
@@ -125,7 +130,7 @@ def test_anchor_sets_partition_by_class(partner):
     raw = rng.normal(size=(4, 4))
     batch = build_batch(raw, np.array([0, 1, 0, 1]), rng, AugmentConfig(0.1, 0.0))
     anchors = sample_anchor_sets(partner, batch, rng)
-    anchors.validate()
+    validate_anchor_sets(anchors)
     for i in range(batch.size):
         got = np.sort(np.concatenate([anchors.pos_indices[i], anchors.neg_indices[i]]))
         expected = np.array([j for j in range(batch.size) if j != i])
@@ -217,7 +222,7 @@ def test_anchor_sets_reject_out_of_range_indices():
     with pytest.raises(ShapeError):
         AnchorSets(feats, labels, np.array([0]), np.ones((1, 2), bool), np.zeros((1, 3), bool))
     ok = AnchorSets.from_indices(feats, labels, [0], pos_indices=[[0]], neg_indices=[[2, 1]])
-    ok.validate()
+    validate_anchor_sets(ok)
     _assert_same_sets(ok.neg_indices, [np.array([1, 2])])
 
 
@@ -226,10 +231,10 @@ def test_anchor_sets_validate_names_the_instance():
     labels = np.array([0, 1, 1])
     wrong_pos = AnchorSets.from_indices(feats, labels, [0, 1], [[0], [0]], [[1], [0]])
     with pytest.raises(ContractError, match="instance 1: positive"):
-        wrong_pos.validate()
+        validate_anchor_sets(wrong_pos)
     wrong_neg = AnchorSets.from_indices(feats, labels, [0, 1], [[0], [1]], [[1], [2]])
     with pytest.raises(ContractError, match="instance 1: negative"):
-        wrong_neg.validate()
+        validate_anchor_sets(wrong_neg)
 
 
 def test_anchor_sampling_requires_frozen_partner():

@@ -433,3 +433,74 @@ def test_ablate_draws_each_shot_once_and_scores_every_row_on_it(data_dir, tmp_pa
             report = evaluate(enc, novel, n=5, k=k, q=15, episodes=5, rng=eval_seed(_tiny_cfg()))
             report.to_csv(fresh)
             assert (run_dir / f"eval_5way_{k}shot.csv").read_bytes() == fresh.read_bytes()
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _grid(data_dir, out, table, jobs=1):
+    from pal.ablation import run_table
+    from pal.batching import AugmentConfig
+    from pal.config import DESK_AUGMENT
+
+    run_table(table, data_dir / "base.pald", data_dir / "novel.pald", _tiny_cfg(),
+              AugmentConfig(**DESK_AUGMENT), out, episodes=5, jobs=jobs)
+    return _tree(out)
+
+
+@pytest.mark.parametrize("table, alone", [(3, 8), (4, 7), (5, 11)])
+def test_grid_trains_each_distinct_stage_once_with_the_same_bytes(data_dir, tmp_path, monkeypatch,
+                                                                  table, alone):
+    """Rows that share a partner stage train it once per ``run_table`` call;
+    every file is what the rows write when each trains on its own."""
+    import pal.ablation
+    import pal.training
+
+    fits = []
+    real_fit = pal.training._fit
+    monkeypatch.setattr(pal.training, "_fit", lambda *a: fits.append(a[3]) or real_fit(*a))
+    shared = _grid(data_dir, tmp_path / "shared", table)
+    assert len(fits) == 7
+    fits.clear()
+    assert _grid(data_dir, tmp_path / "again", table) == shared
+    assert len(fits) == 7  # nothing carries over from the first call
+
+    real_train = pal.ablation.train_variant
+    monkeypatch.setattr(pal.ablation, "train_variant",
+                        lambda *a, reuse=None, **kw: real_train(*a, **kw))
+    fits.clear()
+    assert _grid(data_dir, tmp_path / "alone", table) == shared
+    assert len(fits) == alone
+
+
+def test_parallel_grid_writes_the_sequential_bytes(data_dir, tmp_path):
+    assert _grid(data_dir, tmp_path / "par", 5, jobs=2) == _grid(data_dir, tmp_path / "seq", 5)
+
+
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    path = tmp_path / "enc.palw"
+    save_encoder(Encoder(EncoderConfig(input_dim=32, hidden_dims=(8,), embed_dim=4, seed=0)), path)
+    return path
+
+
+@pytest.mark.parametrize("argv, env_seed, line", [
+    (["gen-data", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["train-variant", "--variant", "PAL", "--base", "{base}", "--seed", "-2", *TRAIN_TINY],
+     None, "seed must be >= 0, got -2"),
+    (["train-variant", "--variant", "PAL", "--base", "{base}", *TRAIN_TINY],
+     "-3", "seed must be >= 0, got -3"),
+    (["eval-episodes", "--checkpoint", "{checkpoint}", "--data", "{novel}",
+      "--eval-seed", "-1", "--csv", "{out}/eval.csv"], None, "rng must be a seed >= 0, got -1"),
+], ids=["gen-data", "train-variant", "PAL_SEED", "eval-episodes"])
+def test_negative_seed_is_one_error_line(data_dir, small_checkpoint, tmp_path, capsys,
+                                          monkeypatch, argv, env_seed, line):
+    out = tmp_path / "out"
+    if env_seed is not None:
+        monkeypatch.setenv("PAL_SEED", env_seed)
+    paths = dict(base=data_dir / "base.pald", novel=data_dir / "novel.pald",
+                 checkpoint=small_checkpoint, out=out)
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    assert _one_error_line(capsys) == f"pal: error: {line}"
+    assert not out.exists()

@@ -9,7 +9,6 @@ from pal.encoders import (
     CosineClassifier,
     Encoder,
     EncoderConfig,
-    load_classifier,
     load_encoder,
     save_classifier,
     save_encoder,
@@ -17,7 +16,7 @@ from pal.encoders import (
 from pal.exceptions import FormatError, ParameterError, ShapeError
 
 from graph_ops import mul, reduce_sum
-from oracles import encode_loop
+from oracles import encode_loop, load_classifier
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pal.encoders import Encoder, EncoderConfig
 from pal.episodes import classify_query, draw_episodes, evaluate, prototypes, sample_episode
 from pal.exceptions import CapacityError, ContractError, ParameterError
 
-from oracles import evaluate_loop, prototypes_loop
+from oracles import episode_query_x, episode_support_x, evaluate_loop, prototypes_loop
 
 
 class IdentityEncoder:
@@ -71,18 +71,18 @@ def novel():
 def test_episode_sizes_five_way(novel):
     rng = np.random.default_rng(0)
     ep = sample_episode(novel, n=5, k=1, q=15, rng=rng)
-    assert len(ep.support_x) == 5
-    assert len(ep.query_x) == 75
+    assert len(episode_support_x(ep)) == 5
+    assert len(episode_query_x(ep)) == 75
     ep = sample_episode(novel, n=5, k=5, q=15, rng=np.random.default_rng(1))
-    assert len(ep.support_x) == 25
-    assert len(ep.query_x) == 75
+    assert len(episode_support_x(ep)) == 25
+    assert len(episode_query_x(ep)) == 75
 
 
 def test_episode_support_query_disjoint_and_counts(novel):
     ep = sample_episode(novel, n=4, k=3, q=5, rng=np.random.default_rng(2))
     for pos in range(4):
-        sup = ep.support_x[ep.support_y == pos]
-        que = ep.query_x[ep.query_y == pos]
+        sup = episode_support_x(ep)[ep.support_y == pos]
+        que = episode_query_x(ep)[ep.query_y == pos]
         assert len(sup) == 3 and len(que) == 5
         for row in sup:
             assert not any(np.array_equal(row, qrow) for qrow in que)
@@ -92,8 +92,8 @@ def test_episode_deterministic(novel):
     e1 = sample_episode(novel, 5, 1, 15, np.random.default_rng(42))
     e2 = sample_episode(novel, 5, 1, 15, np.random.default_rng(42))
     np.testing.assert_array_equal(e1.classes, e2.classes)
-    np.testing.assert_array_equal(e1.support_x, e2.support_x)
-    np.testing.assert_array_equal(e1.query_x, e2.query_x)
+    np.testing.assert_array_equal(episode_support_x(e1), episode_support_x(e2))
+    np.testing.assert_array_equal(episode_query_x(e1), episode_query_x(e2))
 
 
 def test_episode_capacity_error_names_shortfall(novel):
@@ -233,7 +233,7 @@ def test_prototype_converges_toward_class_mean(novel):
         dists = []
         for _ in range(100):
             ep = sample_episode(novel, n=3, k=k, q=1, rng=rng)
-            protos = prototypes(enc.encode(ep.support_x), ep.support_y, n=3)
+            protos = prototypes(enc.encode(episode_support_x(ep)), ep.support_y, n=3)
             for pos, c in enumerate(ep.classes):
                 dists.append(np.linalg.norm(protos[pos] - full_means[int(c)]))
         avg_dist.append(np.mean(dists))

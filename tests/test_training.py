@@ -1,7 +1,7 @@
 """Optimizer, schedules, and the training pipelines."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,16 +11,19 @@ from pal.core import Tensor
 from pal.data import SyntheticSpec, generate_synthetic
 from pal.encoders import Encoder, EncoderConfig, load_encoder, save_encoder
 from pal.exceptions import ContractError, DivergenceError, ParameterError
-from oracles import sgd_vanilla_loop
+from oracles import epoch_means, sgd_vanilla_loop
+import pal.training
 from pal.training import (
     SGD,
     MetricsLogger,
+    NetConfig,
     TrainConfig,
     Variant,
     WarmupSchedule,
     _stage1_seed,
     lr_at,
     sgd_step,
+    stage_key,
     train_main,
     train_partner,
     train_variant,
@@ -143,7 +146,7 @@ def test_train_partner_loss_decreases_and_roundtrips(tmp_path, tiny_base):
         warmup_epochs=0, seed=1, momentum=0.9,
     )
     result = train_partner(tiny_base, cfg, aug=AUG, out_dir=tmp_path)
-    means = result.metrics.epoch_means("loss_total")
+    means = epoch_means(result.metrics, "loss_total")
     assert all(np.isfinite(means))
     assert means[-1] < means[0]
     assert result.checkpoint is not None
@@ -406,3 +409,79 @@ def test_sgd_momentum_zero_matches_the_vanilla_loop_bitwise(path):
     sgd_vanilla_loop(expected, grads, lr=0.05, weight_decay=5e-4)
     for p, e in zip(params, expected):
         assert np.array_equal(p.data, e.data)
+
+
+# A valid value other than TINY_CFG's for every TrainConfig field but the variant.
+OTHER_TRAIN = dict(epochs=3, lr=0.04, lr_decay_factor=5.0, lr_decay_epoch=1, batch_size=9,
+                   tau=0.4, kl_tau=0.3, logit_tau=0.3, warmup_epochs=2, seed=1,
+                   weight_decay=1e-3, momentum=0.5, n_pos=2, n_neg=2)
+OTHER_AUG = dict(noise_sigma=0.2, mask_prob=0.2)
+OTHER_NET = dict(input_dim=16, hidden_dims=(8,), embed_dim=16, scale=5.0)
+
+
+def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig(), stage="partner"):
+    return stage_key(base, cfg, stage, aug, net)
+
+
+def test_stage_key_changes_with_every_config_field(tiny_base):
+    plain = _key(tiny_base)
+    for f in fields(TrainConfig):
+        if f.name != "variant":
+            other = replace(TINY_CFG, **{f.name: OTHER_TRAIN[f.name]})
+            assert _key(tiny_base, cfg=other) != plain, f.name
+    for f in fields(AugmentConfig):
+        assert _key(tiny_base, aug=replace(AUG, **{f.name: OTHER_AUG[f.name]})) != plain, f.name
+    for f in fields(NetConfig):
+        assert _key(tiny_base, net=NetConfig(**{f.name: OTHER_NET[f.name]})) != plain, f.name
+    assert _key(tiny_base, stage="main") != plain
+    assert _key(tiny_base, aug=None) == _key(tiny_base, aug=AugmentConfig())
+
+
+def test_stage_key_changes_with_every_data_byte_and_label(tiny_base):
+    plain = _key(tiny_base)
+    x = tiny_base.x.copy()
+    x.view(np.uint8)[-1] ^= 1
+    assert _key(replace(tiny_base, x=x)) != plain
+    y = tiny_base.y.copy()
+    y[0] = y[-1]
+    assert _key(replace(tiny_base, y=y)) != plain
+    assert _key(replace(tiny_base, label_width=tiny_base.label_width + 1)) != plain
+    assert _key(replace(tiny_base, x=tiny_base.x.copy(), y=tiny_base.y.copy())) == plain
+
+
+def test_stage_key_reads_the_partner_objective(tiny_base):
+    def partner_key(variant):
+        return _key(tiny_base, cfg=replace(TINY_CFG, variant=variant))
+
+    supcon = [Variant.PAL, Variant.SUPCT_ONLY, Variant.PAL_KL_LOGIT, Variant.PAL_FEAT_ONLY]
+    assert len({partner_key(v) for v in supcon}) == 1
+    assert partner_key(Variant.PARTNER_CT) != partner_key(Variant.PAL)
+
+
+def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
+    fits = []
+    real_fit = pal.training._fit
+    monkeypatch.setattr(pal.training, "_fit", lambda *a: fits.append(a[3]) or real_fit(*a))
+    reuse = {}
+    first = train_variant(tiny_base, TINY_CFG, aug=AUG, reuse=reuse)
+    second = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.PAL_FEAT_ONLY), aug=AUG,
+                           reuse=reuse)
+    assert fits == ["partner", "main", "main"] and len(reuse) == 1
+    assert second.partner is first.partner
+    # A stored stage is still written where its caller asks.
+    stored = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "hit", reuse=reuse)
+    plain = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "plain")
+    assert len(fits) == 4
+    for name in ("partner_encoder.palw", "metrics_partner.csv"):
+        assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert stored.checkpoint == tmp_path / "hit" / "partner_encoder.palw"
+    assert plain.checkpoint == tmp_path / "plain" / "partner_encoder.palw"
+
+
+def test_single_run_computes_no_stage_key(tiny_base, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a run without a reuse dict computed a stage key")
+
+    monkeypatch.setattr(pal.training, "stage_key", refuse)
+    for variant in (Variant.PAL, Variant.SUPCT_ONLY, Variant.PARTNER_CE):
+        train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG)
