@@ -27,11 +27,12 @@ rounding), and ``_save`` alone decides the file layout of a run directory:
 One training run is a single logical writer over its model state; runs with
 distinct configs are fully independent (each derives every generator it uses
 from its own seed), so an ablation grid can execute them concurrently.
-Runs that share a stage can share its result instead: :func:`stage_key`
-names every input that fixes a stage's bytes (the variant counts only
-through its ``_OBJECTIVES`` entry), and a caller that passes one ``reuse``
-dict to several ``train_variant`` calls trains each distinct partner stage
-once. Without the dict nothing is hashed or stored.
+Runs that share a partner stage can share its result instead:
+:func:`partner_key` names every input that fixes a partner stage's bytes
+(the variant counts only through its ``_OBJECTIVES`` entry), and a caller
+that passes one ``reuse`` dict to several ``train_variant`` calls trains
+each distinct partner stage once. Without the dict nothing is hashed or
+stored.
 
 Logged loss components are per-instance means (component sums divided by the
 2B batch rows), so learning rates keep the same meaning across batch sizes;
@@ -39,6 +40,7 @@ the loss *functions* themselves sum over instances as documented.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 import math
@@ -389,6 +391,7 @@ def _fit(
                 clf.renormalize()
             metrics.log(**{"epoch": epoch, "step": step, "lr": lr, "w_logit": w, **row})
 
+    opt.zero_grad()  # the last step's gradients; a trained model does not carry them
     quantize_to_storage(*models)
     return metrics
 
@@ -465,33 +468,30 @@ def _require_rows(base: Split, variant: Variant, stage: str) -> None:
         )
 
 
-def stage_key(base: Split, cfg: TrainConfig, stage: str, aug, net: NetConfig) -> tuple:
-    """Everything that fixes the bytes a stage trains: the stage and its
-    ``_OBJECTIVES`` entry, the ``TrainConfig`` with the variant normalized
-    away, the ``AugmentConfig`` and ``NetConfig``, and a SHA-256 of the
-    split's arrays (with their shapes and dtypes) and label width."""
+def partner_key(base: Split, cfg: TrainConfig, aug, net: NetConfig) -> tuple:
+    """Everything that fixes the bytes ``cfg``'s partner stage trains (it
+    trains against no other network): its ``_OBJECTIVES`` entry, the
+    ``TrainConfig`` with the variant normalized away, the ``AugmentConfig``
+    and ``NetConfig``, and a SHA-256 of the split's arrays (with their
+    shapes and dtypes) and label width. The key holds all of them, not just
+    the objective, so one dict may serve calls on different splits or
+    configs without handing any of them a stage it did not ask for."""
     digest = hashlib.sha256()
     for array in (base.x, base.y):
         digest.update(f"{array.dtype.str}{array.shape}".encode())
         digest.update(np.ascontiguousarray(array))
     digest.update(str(base.label_width).encode())
-    objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
-    return (stage, objective, replace(cfg, variant=Variant.PAL),
+    return (_OBJECTIVES[cfg.variant][0], replace(cfg, variant=Variant.PAL),
             aug if aug is not None else AugmentConfig(), net, digest.hexdigest())
 
 
 def _train_stage(
-    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir,
-    net: NetConfig, reuse: dict | None = None,
+    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir, net: NetConfig
 ) -> StageResult:
     """Train the ``stage`` ("partner" or "main") of ``cfg.variant`` under its
     ``_OBJECTIVES`` entry: an encoder from the ``{stage}_init`` seed stream,
     plus a cosine classifier from ``classifier_init`` when the objective has
-    CE. Each term is logged and added to the total as a per-instance mean.
-
-    With a ``reuse`` dict, a stage whose :func:`stage_key` is already in it
-    is not trained again: its stored models and metrics are saved and
-    returned. A stage that is trained is stored under its key."""
+    CE. Each term is logged and added to the total as a per-instance mean."""
     _require_rows(base, cfg.variant, stage)
     objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
     if objective is None or (stage == "partner" and objective.ce):
@@ -508,12 +508,6 @@ def _train_stage(
             f"variant {cfg.variant.value}: the partner takes {partner.config.input_dim} "
             f"input features but the base split has {base.dim}"
         )
-
-    key = None if reuse is None else stage_key(base, cfg, stage, aug, net)
-    if key is not None and key in reuse:
-        done = reuse[key]
-        enc_path, clf_path = _save(out_dir, stage, done.encoder, done.classifier, done.metrics)
-        return replace(done, encoder_checkpoint=enc_path, classifier_checkpoint=clf_path)
 
     streams = _seed_streams(cfg)
     enc = net.encoder(base.dim, _seed_int(streams[f"{stage}_init"]))
@@ -572,8 +566,6 @@ def _train_stage(
 
     models = [enc] if clf is None else [enc, clf]
     metrics = _fit(base, cfg, aug, stage, models, loss_fn)
-    if key is not None:
-        reuse[key] = StageResult(enc, clf, metrics)
     enc_path, clf_path = _save(out_dir, stage, enc, clf, metrics)
     return StageResult(enc, clf, metrics, enc_path, clf_path)
 
@@ -589,13 +581,25 @@ def train_partner(
 ) -> StageResult:
     """Stage one: contrastive training of the partner encoder under the
     variant's partner objective (CT for ``Partner_CT``, SupCT otherwise).
-    ``reuse`` is :func:`_train_stage`'s."""
+
+    With a ``reuse`` dict, a stage whose :func:`partner_key` is already in it
+    is not trained again, and a stage that is trained is stored under its
+    key. Either way the caller gets (and ``out_dir`` is written from) a copy,
+    so freezing or changing a returned encoder never reaches the dict or
+    another caller."""
     if len(base.classes) == 1:
         logger.warning(
             "train_partner: single-class data; every batch is all-positive and "
             "the contrastive objective is degenerate"
         )
-    return _train_stage(base, cfg, "partner", None, aug, out_dir, net, reuse)
+    if reuse is None:
+        return _train_stage(base, cfg, "partner", None, aug, out_dir, net)
+    key = partner_key(base, cfg, aug, net)
+    if key not in reuse:
+        reuse[key] = _train_stage(base, cfg, "partner", None, aug, None, net)
+    done = copy.deepcopy(reuse[key])
+    enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
+    return replace(done, encoder_checkpoint=enc_path)
 
 
 def train_main(
@@ -605,13 +609,10 @@ def train_main(
     aug: AugmentConfig | None = None,
     out_dir=None,
     net: NetConfig = NetConfig(),
-    *,
-    reuse: dict | None = None,
 ) -> StageResult:
     """Stage two: train the main encoder (and classifier) under the
-    variant's main objective, ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL.
-    ``reuse`` is :func:`_train_stage`'s."""
-    return _train_stage(base, cfg, "main", partner, aug, out_dir, net, reuse)
+    variant's main objective, ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL."""
+    return _train_stage(base, cfg, "main", partner, aug, out_dir, net)
 
 
 def _train_mutual(
@@ -681,10 +682,10 @@ def train_variant(
     """Run the full training scheme selected by ``cfg.variant`` and return
     the encoder to be evaluated plus everything trained along the way.
 
-    ``reuse`` reaches the variant's partner stage only (the CE partner and
-    ``SupCT_only``'s stage included): one dict shared by the rows of a grid
-    trains each distinct partner once (see :func:`_train_stage`). Main
-    stages are never stored; no grid repeats one."""
+    ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
+    included): one dict shared by the rows of a grid trains each distinct
+    contrastive partner once, and every row gets its own copy of it. Main
+    stages and the CE partner are never stored; no grid repeats one."""
     variant = cfg.variant
     # Every stage is checked before the first one writes anything; a CE
     # partner runs under a CE_only config, so its stage is named here.
@@ -715,7 +716,7 @@ def train_variant(
             # A cross-entropy partner, trained under its own derived seed so
             # the two networks share neither init nor batch order.
             ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
-            stage1 = train_main(base, ce_cfg, aug=aug, net=net, reuse=reuse)
+            stage1 = train_main(base, ce_cfg, aug=aug, net=net)
         else:
             stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
         partner = stage1.encoder.freeze()

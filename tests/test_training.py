@@ -22,8 +22,8 @@ from pal.training import (
     WarmupSchedule,
     _stage1_seed,
     lr_at,
+    partner_key,
     sgd_step,
-    stage_key,
     train_main,
     train_partner,
     train_variant,
@@ -419,11 +419,11 @@ OTHER_AUG = dict(noise_sigma=0.2, mask_prob=0.2)
 OTHER_NET = dict(input_dim=16, hidden_dims=(8,), embed_dim=16, scale=5.0)
 
 
-def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig(), stage="partner"):
-    return stage_key(base, cfg, stage, aug, net)
+def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig()):
+    return partner_key(base, cfg, aug, net)
 
 
-def test_stage_key_changes_with_every_config_field(tiny_base):
+def test_partner_key_changes_with_every_config_field(tiny_base):
     plain = _key(tiny_base)
     for f in fields(TrainConfig):
         if f.name != "variant":
@@ -433,11 +433,10 @@ def test_stage_key_changes_with_every_config_field(tiny_base):
         assert _key(tiny_base, aug=replace(AUG, **{f.name: OTHER_AUG[f.name]})) != plain, f.name
     for f in fields(NetConfig):
         assert _key(tiny_base, net=NetConfig(**{f.name: OTHER_NET[f.name]})) != plain, f.name
-    assert _key(tiny_base, stage="main") != plain
     assert _key(tiny_base, aug=None) == _key(tiny_base, aug=AugmentConfig())
 
 
-def test_stage_key_changes_with_every_data_byte_and_label(tiny_base):
+def test_partner_key_changes_with_every_data_byte_and_label(tiny_base):
     plain = _key(tiny_base)
     x = tiny_base.x.copy()
     x.view(np.uint8)[-1] ^= 1
@@ -449,13 +448,13 @@ def test_stage_key_changes_with_every_data_byte_and_label(tiny_base):
     assert _key(replace(tiny_base, x=tiny_base.x.copy(), y=tiny_base.y.copy())) == plain
 
 
-def test_stage_key_reads_the_partner_objective(tiny_base):
-    def partner_key(variant):
+def test_partner_key_reads_the_partner_objective(tiny_base):
+    def key_of(variant):
         return _key(tiny_base, cfg=replace(TINY_CFG, variant=variant))
 
     supcon = [Variant.PAL, Variant.SUPCT_ONLY, Variant.PAL_KL_LOGIT, Variant.PAL_FEAT_ONLY]
-    assert len({partner_key(v) for v in supcon}) == 1
-    assert partner_key(Variant.PARTNER_CT) != partner_key(Variant.PAL)
+    assert len({key_of(v) for v in supcon}) == 1
+    assert key_of(Variant.PARTNER_CT) != key_of(Variant.PAL)
 
 
 def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
@@ -466,8 +465,15 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
     first = train_variant(tiny_base, TINY_CFG, aug=AUG, reuse=reuse)
     second = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.PAL_FEAT_ONLY), aug=AUG,
                            reuse=reuse)
+    alone = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.SUPCT_ONLY), aug=AUG,
+                          reuse=reuse)
     assert fits == ["partner", "main", "main"] and len(reuse) == 1
-    assert second.partner is first.partner
+    # Every caller gets its own copy: freezing one row's partner reaches no other row.
+    assert first.partner is not second.partner
+    assert first.partner.frozen and second.partner.frozen and not alone.encoder.frozen
+    for enc in (second.partner, alone.encoder):
+        assert all(np.array_equal(p.data, q.data)
+                   for p, q in zip(enc.parameters(), first.partner.parameters()))
     # A stored stage is still written where its caller asks.
     stored = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "hit", reuse=reuse)
     plain = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "plain")
@@ -478,10 +484,10 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
     assert plain.checkpoint == tmp_path / "plain" / "partner_encoder.palw"
 
 
-def test_single_run_computes_no_stage_key(tiny_base, monkeypatch):
+def test_single_run_computes_no_partner_key(tiny_base, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a run without a reuse dict computed a stage key")
+        raise AssertionError("a run without a reuse dict computed a partner key")
 
-    monkeypatch.setattr(pal.training, "stage_key", refuse)
+    monkeypatch.setattr(pal.training, "partner_key", refuse)
     for variant in (Variant.PAL, Variant.SUPCT_ONLY, Variant.PARTNER_CE):
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG)
