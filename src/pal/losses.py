@@ -3,14 +3,14 @@ logits, temperature-scaled soft labels, KL distillation, and the two
 alignment constraints (logit-level and feature-level).
 
 All losses are pure functions over tensors and safe to evaluate concurrently
-on disjoint graphs. Contrastive-style losses take their positives as a dense
-boolean mask (row i marks i's positives: a :class:`ContrastiveBatchView`
-holds an (n, n) one, :class:`~pal.batching.AnchorSets` an (n, A) one) and
-weight each positive similarity by ``1/count`` of its row, so no loss loops
-over rows. They return a :class:`ContrastiveResult` carrying the count of
-instances skipped for lack of positives; an in-batch view always has at
-least its other augmented view as a positive, so skips only occur for
-hand-built degenerate views.
+on disjoint graphs. Contrastive masks are boolean end to end: row i of the
+dense positive mask marks i's positives (n x n in a
+:class:`ContrastiveBatchView`, n x A in :class:`~pal.batching.AnchorSets`),
+each weighing ``1/count`` of its row, so no loss loops over rows; only
+``_contrastive_sum`` turns a candidate mask into ``-inf``. They return a
+:class:`ContrastiveResult` carrying the count of instances skipped for lack
+of positives; an in-batch view always has its other augmented view as a
+positive, so skips only occur for hand-built degenerate views.
 
 Instances are summed, not averaged: callers that want a per-instance scale
 divide by the batch size themselves (the trainers do).
@@ -104,7 +104,7 @@ def _contrastive_sum(
     z: Tensor,
     keys: np.ndarray | None,
     tau: float,
-    candidate_mask: np.ndarray,
+    candidates: np.ndarray | None,
     pos_mask: np.ndarray,
 ) -> ContrastiveResult:
     """Sum over instances of ``lse(candidates) - mean(positive sims)``, one
@@ -113,14 +113,15 @@ def _contrastive_sum(
     The similarities are ``z @ z.T / tau`` when ``keys`` is None (``z`` is
     then listed as the node's parent twice, once per side of the product,
     as the composite ``matmul(z, transpose(z))`` fed it), else ``z @
-    keys.T / tau`` against constant (m, d) keys. ``candidate_mask`` is
-    additive (0 where a column participates in the denominator of row i,
-    -inf elsewhere); ``pos_mask`` is the boolean (n, m) positive mask. Rows
-    with no positives are skipped and counted: they weigh 0 in both terms,
-    and their candidate row is made finite so that no log-sum-exp over an
-    empty row is taken.
+    keys.T / tau`` against constant (m, d) keys. Both masks are boolean
+    (n, m): ``candidates`` marks the columns in row i's denominator (None:
+    all but the row's own), ``pos_mask`` its positives; only this node turns
+    a mask into ``-inf``. Rows with no positives are skipped and counted:
+    they weigh 0 in both terms, and every column is their candidate, so no
+    log-sum-exp over an empty row is taken.
     """
-    counts = np.count_nonzero(pos_mask, axis=1)
+    pos_weights = pos_mask.astype(np.float64)
+    counts = pos_weights.sum(axis=1)
     has_pos = counts > 0
     skipped = int(np.count_nonzero(~has_pos))
     if skipped:
@@ -132,12 +133,13 @@ def _contrastive_sum(
     zd = z.data
     sims = zd @ (zd.T if keys is None else keys.T)
     sims *= alpha
-    pos_weights = pos_mask.astype(np.float64)
     pos_weights *= (1.0 / np.maximum(counts, 1))[:, None]
+    if candidates is None:
+        candidates = ~np.eye(*sims.shape, dtype=bool)
     if skipped:
         live = has_pos.astype(np.float64)
-        candidate_mask = np.where(has_pos[:, None], candidate_mask, 0.0)
-    denom, probs = lse_softmax(sims + candidate_mask, axis=-1)
+        candidates = candidates | ~has_pos[:, None]
+    denom, probs = lse_softmax(np.where(candidates, sims, -np.inf), axis=-1)
     if skipped:
         denom = denom * live
     value = denom.sum() - (sims * pos_weights).sum()
@@ -163,10 +165,7 @@ def supct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
     softmax runs over every other instance at temperature tau, summed over
     the batch. Computed through log-sum-exp, never through raw exponentials.
     """
-    n = view.features.shape[0]
-    self_mask = np.zeros((n, n))
-    np.fill_diagonal(self_mask, -np.inf)
-    return _contrastive_sum(view.features, None, view.tau, self_mask, view.pos_mask)
+    return _contrastive_sum(view.features, None, view.tau, None, view.pos_mask)
 
 
 def ct_loss(view: ContrastiveBatchView) -> ContrastiveResult:
@@ -326,6 +325,5 @@ def feat_align_loss(z_main, anchors: AnchorSets, tau: float) -> ContrastiveResul
         raise ShapeError(
             f"feat_align_loss: {n} embeddings vs {len(anchors.pos_mask)} anchor sets"
         )
-    mask = np.where(anchors.pos_mask | anchors.neg_mask, 0.0, -np.inf)
     keys = np.asarray(anchors.features, dtype=np.float64)
-    return _contrastive_sum(z, keys, tau, mask, anchors.pos_mask)
+    return _contrastive_sum(z, keys, tau, anchors.pos_mask | anchors.neg_mask, anchors.pos_mask)

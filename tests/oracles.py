@@ -5,7 +5,8 @@ Most of this module is brute force: plain double loops over python floats
 tensor path it checks. The positive and anchor sets are built one row at a
 time, the way the package built them before it used dense masks, and
 episodic evaluation encodes each episode's own rows, the way it ran before it
-encoded the split once per call.
+encoded the split once per call. An episode's draws are replayed from its
+stream's raw 32-bit words, the way numpy's ``Generator.choice`` reads them.
 
 The ``*_composite`` functions are the other kind of reference: the chains of
 primitives (``matmul``, ``add``, ``relu``, ``l2_normalize``,
@@ -162,6 +163,56 @@ def evaluate_loop(enc, novel, n: int, k: int, q: int, episodes: int, seed: int) 
         pred = np.argmax(z_q @ protos.T, axis=1)
         accs.append(float(np.mean(pred == query_y)))
     return accs
+
+
+def uint32_words(bit_generator):
+    """The 32-bit words a ``Generator`` reads from ``bit_generator``: each
+    64-bit ``random_raw`` output, low half first. Start on a stream with no
+    half-word buffered (a fresh or freshly spawned one)."""
+    while True:
+        word = int(bit_generator.random_raw())
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def lemire_bounded(words, bound: int) -> int:
+    """A uniform int in ``[0, bound]`` (bound < 2**32 - 1) as numpy draws
+    it: ``(w * (bound + 1)) >> 32``, redrawn while the low half of the
+    product is below ``2**32 mod (bound + 1)``. A bound of 0 reads no word."""
+    if bound == 0:
+        return 0
+    span = bound + 1
+    product = next(words) * span
+    threshold = (0xFFFFFFFF - bound) % span
+    while product & 0xFFFFFFFF < threshold:
+        product = next(words) * span
+    return product >> 32
+
+
+def choice_replay(words, pop, size: int) -> np.ndarray:
+    """``Generator.choice(pop, size, replace=False)`` replayed from 32-bit
+    words: Floyd's selection of ``size`` indices (a draw already taken is
+    replaced by ``j``), then a Fisher-Yates shuffle of them."""
+    pop = np.asarray(pop)
+    if len(pop) > 10000 and size > len(pop) // 50:
+        raise NotImplementedError("numpy shuffles the tail of a population this large")
+    picked = []
+    for j in range(len(pop) - size, len(pop)):
+        val = lemire_bounded(words, j)
+        picked.append(j if val in picked else val)
+    for i in range(size - 1, 0, -1):
+        j = lemire_bounded(words, i)
+        picked[i], picked[j] = picked[j], picked[i]
+    return pop[np.array(picked, dtype=np.intp)]
+
+
+def episode_rows_replay(novel, n: int, k: int, q: int, words) -> np.ndarray:
+    """An episode's (n, k + q) rows drawn from ``words`` as ``sample_episode``
+    draws them: n eligible classes, then k + q rows of each chosen class."""
+    classes = np.unique(novel.y)
+    eligible = np.array([c for c in classes if np.count_nonzero(novel.y == c) >= k + q])
+    chosen = choice_replay(words, eligible, n)
+    return np.stack([choice_replay(words, np.flatnonzero(novel.y == c), k + q) for c in chosen])
 
 
 def softmax_py(values, tau: float = 1.0):

@@ -1,6 +1,7 @@
 """Episode sampling, prototypes, classification, evaluation reports."""
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,15 @@ from pal.encoders import Encoder, EncoderConfig
 from pal.episodes import classify_query, draw_episodes, evaluate, prototypes, sample_episode
 from pal.exceptions import CapacityError, ContractError, ParameterError
 
-from oracles import episode_query_x, episode_support_x, evaluate_loop, prototypes_loop
+from oracles import (
+    choice_replay,
+    episode_query_x,
+    episode_rows_replay,
+    episode_support_x,
+    evaluate_loop,
+    prototypes_loop,
+    uint32_words,
+)
 
 
 class IdentityEncoder:
@@ -268,6 +277,41 @@ def test_evaluate_matches_per_episode_loop(monkeypatch, n, k, q):
             report = evaluate(enc, split, n=n, k=k, q=q, episodes=drawn)
             assert report.per_episode == expected
             assert (report.episodes, calls) == (episodes, [])
+
+
+@pytest.mark.parametrize(
+    "n,k,q", [(3, 5, 4), (5, 1, 15), (10, 1, 3), (4, 5, 15), (2, 10, 20)]
+)
+def test_episode_draws_replay_their_stream_words(n, k, q):
+    # The last three shapes take every eligible class (10, 4 and 2 of them),
+    # and the last one every row of the 30-row class: Floyd's selection then
+    # starts at a bound of 0, which reads no word. After each episode the
+    # stream's next word must be the replay's next one, so both read the
+    # same number of words.
+    split = uneven_split([30, 7, 25, 12, 40, 9, 18, 22, 14, 11])
+    for seed in (0, 7, 20260808):
+        twins = np.random.default_rng(seed).spawn(130)
+        replays = [uint32_words(twin.bit_generator) for twin in twins]
+        expected = np.stack([episode_rows_replay(split, n, k, q, words) for words in replays])
+        assert np.array_equal(draw_episodes(split, n, k, q, 130, seed).rows, expected)
+        for stream, words, rows in zip(np.random.default_rng(seed).spawn(20), replays, expected):
+            ep = sample_episode(split, n, k, q, stream)
+            assert np.array_equal(ep.rows, rows)
+            assert np.array_equal(ep.classes, split.y[rows[:, 0]])
+            assert int(stream.integers(2**32, dtype=np.uint32)) == next(words)
+
+
+def test_choice_replay_redraws_a_rejected_word():
+    # With a bound of 2, a word of 0 leaves a low product half of 0, below
+    # 2**32 mod 3 = 1, so the draw is rejected and the next word decides.
+    # Plant that word as the stream's buffered half.
+    bit_generator = np.random.PCG64(5)
+    bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": 0}
+    rng = np.random.Generator(bit_generator)
+    words = itertools.chain([0], uint32_words(np.random.PCG64(5)))
+    pop = np.array([4, 9, 6])
+    assert np.array_equal(rng.choice(pop, 1, replace=False), choice_replay(words, pop, 1))
+    assert int(rng.integers(2**32, dtype=np.uint32)) == next(words)
 
 
 def test_evaluate_encodes_the_split_once():
