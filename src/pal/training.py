@@ -15,14 +15,16 @@ have. The trainers take it as one ``net=`` argument and build every encoder
 and classifier through it.
 
 Every stage runs on one engine. ``_OBJECTIVES`` is the one table of what
-each variant trains in its partner and main stages; ``_train_stage`` turns
-an entry into the stage's models and a per-batch ``loss_fn(batch, w) ->
-(roots, metrics_row)``; ``_fit`` owns the rest (the data-order seed stream,
-batching, the non-finite loss check, the optimizer step under the lr
-schedule and the alignment warm-up, the metrics log, and the final float32
-rounding), and ``_save`` alone decides the file layout of a run directory:
-``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``
-(written by :func:`pal.data.write_csv`, like every CSV of the package).
+each variant trains in its partner and main stages, and ``_PEERS`` holds
+Mutual's two networks, each aligned to the other by a ``"peer"`` term;
+``_train_stage`` turns a stage's networks into their models and a per-batch
+``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
+data-order seed stream, batching, the non-finite loss check, the optimizer
+step under the lr schedule and the alignment warm-up, the metrics log, and
+the final float32 rounding), and ``_save`` alone decides the file layout of
+a run directory: ``{role}_encoder.palw``, ``{role}_classifier.palw`` and
+``metrics_{role}.csv`` (written by :func:`pal.data.write_csv`, like every
+CSV of the package).
 
 One training run is a single logical writer over its model state; runs with
 distinct configs are fully independent (each derives every generator it uses
@@ -417,17 +419,19 @@ def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
 
 @dataclass(frozen=True)
 class _Objective:
-    """The loss terms of one stage, summed in field order; the contrastive
-    term is logged as ``loss_aux`` and the alignment weighted by the warm-up."""
+    """The loss terms of one network, summed in field order. The contrastive
+    term is logged as ``loss_aux``, a ``logit`` or ``kl`` alignment is weighted
+    by the warm-up, and a ``peer`` alignment (KL at temperature 1 to the other
+    peer's class probabilities, held constant) is logged unweighted as ``loss_aux``."""
 
     ce: bool = False
     feat: bool = False
-    align: str = "none"  # none | logit | kl
     contrastive: str = "none"  # none | supct | ct
+    align: str = "none"  # none | logit | kl | peer
 
     @property
     def needs_partner(self) -> bool:
-        return self.feat or self.align != "none"
+        return self.feat or self.align in ("logit", "kl")
 
 
 _SUPCT = _Objective(contrastive="supct")
@@ -435,7 +439,7 @@ _CE = _Objective(ce=True)
 _PAL = _Objective(ce=True, feat=True, align="logit")
 # Every variant's (partner, main) objectives. A CE partner is the CE_only main
 # stage run under ``_stage1_seed``; SupCT_only evaluates its partner; Mutual
-# trains two peers jointly in ``_train_mutual``.
+# trains the two ``_PEERS`` jointly as its main stage.
 _OBJECTIVES = {
     Variant.PAL: (_SUPCT, _PAL),
     Variant.CE_ONLY: (None, _CE),
@@ -451,6 +455,12 @@ _OBJECTIVES = {
     Variant.PAL_KL_LOGIT: (_SUPCT, _Objective(ce=True, align="kl")),
     Variant.PAL_FEAT_KL: (_SUPCT, _Objective(ce=True, feat=True, align="kl")),
 }
+# Mutual's peers as (objective, encoder seed stream, classifier seed stream):
+# a SupCon network and the evaluated CE network, each aligned to the other.
+_PEERS = (
+    (_Objective(contrastive="supct", align="peer"), "partner_init", "second_init"),
+    (_Objective(ce=True, align="peer"), "main_init", "classifier_init"),
+)
 
 
 def _require_rows(base: Split, variant: Variant, stage: str) -> None:
@@ -486,88 +496,107 @@ def partner_key(base: Split, cfg: TrainConfig, aug, net: NetConfig) -> tuple:
 
 
 def _train_stage(
-    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir, net: NetConfig
-) -> StageResult:
-    """Train the ``stage`` ("partner" or "main") of ``cfg.variant`` under its
-    ``_OBJECTIVES`` entry: an encoder from the ``{stage}_init`` seed stream,
-    plus a cosine classifier from ``classifier_init`` when the objective has
-    CE. Each term is logged and added to the total as a per-instance mean."""
+    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir,
+    net: NetConfig, networks: tuple | None = None,
+) -> list[StageResult]:
+    """Train the ``stage`` ("partner" or "main") of ``cfg.variant``, one
+    result per network. ``networks`` are (objective, encoder seed stream,
+    classifier seed stream) triples trained jointly; by default, the stage's
+    ``_OBJECTIVES`` entry from ``{stage}_init``. A network has a classifier
+    when its objective has CE or an alignment term. Its terms' per-instance
+    means sum to its own backward root: one summed root could reorder the
+    gradient accumulation, and so the trained bytes. The last network is
+    saved as ``{stage}``, an earlier one as ``peer`` (encoder only)."""
     _require_rows(base, cfg.variant, stage)
-    objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
-    if objective is None or (stage == "partner" and objective.ce):
-        raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
-    if objective.needs_partner and (partner is None or not partner.frozen):
+    if networks is None:
+        objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
+        if objective is None or (stage == "partner" and objective.ce):
+            raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
+        networks = ((objective, f"{stage}_init", "classifier_init"),)
+    needs_partner = any(objective.needs_partner for objective, _, _ in networks)
+    if needs_partner and (partner is None or not partner.frozen):
         raise ContractError(f"variant {cfg.variant.value} needs a frozen partner encoder")
-    if objective.needs_partner and partner.config.embed_dim != net.embed_dim:
+    if needs_partner and partner.config.embed_dim != net.embed_dim:
         raise ContractError(
             f"variant {cfg.variant.value}: the partner embeds in {partner.config.embed_dim} "
             f"dimensions but the main encoder in {net.embed_dim}"
         )
-    if objective.needs_partner and partner.config.input_dim != base.dim:
+    if needs_partner and partner.config.input_dim != base.dim:
         raise ContractError(
             f"variant {cfg.variant.value}: the partner takes {partner.config.input_dim} "
             f"input features but the base split has {base.dim}"
         )
 
     streams = _seed_streams(cfg)
-    enc = net.encoder(base.dim, _seed_int(streams[f"{stage}_init"]))
     class_list = np.sort(base.classes)
-    clf = None
-    if objective.ce:
-        clf = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
+    encs = [net.encoder(base.dim, _seed_int(streams[enc])) for _, enc, _ in networks]
+    clfs = [net.classifier(len(class_list), _seed_int(streams[clf]))
+            if objective.ce or objective.align != "none" else None
+            for objective, _, clf in networks]
     anchor_rng = np.random.default_rng(streams["anchors"])
 
     def loss_fn(batch, w):
-        z = enc.embed(batch.inputs)
-        logits = clf.logits(z) if clf else None
+        zs = [enc.embed(batch.inputs) for enc in encs]
+        logits = [clf.logits(z) if clf else None for clf, z in zip(clfs, zs)]
         # The anchors are the partner's embeddings of this batch, so a
         # variant that samples them encodes the batch once.
-        if objective.feat:
+        if any(objective.feat for objective, _, _ in networks):
             anchors = sample_anchor_sets(
                 partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
             )
             z_partner = anchors.features
-        elif objective.needs_partner:
+        elif needs_partner:
             z_partner = partner.encode(batch.inputs)
 
-        terms = {}
+        roots = []
         row = {"skipped_positive_instances": 0}
-        if objective.ce:
-            terms["loss_ce"] = ce_loss_batch(logits, np.searchsorted(class_list, batch.labels))
-        if objective.feat:
-            result = feat_align_loss(z, anchors, cfg.tau)
-            terms["loss_feat"] = result.loss
-            row["skipped_positive_instances"] += result.skipped
-        if objective.align == "logit":
-            terms["loss_logit"] = logit_align_loss_batch(
-                clf, z_partner[batch.view_map], logits, cfg.logit_temperature
-            )
-        elif objective.align == "kl":
-            p_t = softmax_temperature(clf.logits(z_partner), cfg.kl_temperature)
-            p_s = softmax_temperature(logits, cfg.kl_temperature)
-            terms["loss_logit"] = kl_loss_batch(p_t, p_s)
-        if objective.contrastive == "supct":
-            result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
-        elif objective.contrastive == "ct":
-            result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
-        if objective.contrastive != "none":
-            terms["loss_aux"] = result.loss
-            row["skipped_positive_instances"] += result.skipped
+        for i, ((objective, _, _), z, clf) in enumerate(zip(networks, zs, clfs)):
+            terms = []
+            if objective.ce:
+                terms.append(("loss_ce", ce_loss_batch(
+                    logits[i], np.searchsorted(class_list, batch.labels))))
+            if objective.feat:
+                result = feat_align_loss(z, anchors, cfg.tau)
+                terms.append(("loss_feat", result.loss))
+                row["skipped_positive_instances"] += result.skipped
+            if objective.contrastive == "supct":
+                result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
+            elif objective.contrastive == "ct":
+                result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
+            if objective.contrastive != "none":
+                terms.append(("loss_aux", result.loss))
+                row["skipped_positive_instances"] += result.skipped
+            if objective.align == "logit":
+                terms.append(("loss_logit", logit_align_loss_batch(
+                    clf, z_partner[batch.view_map], logits[i], cfg.logit_temperature)))
+            elif objective.align != "none":
+                # A constant teacher: the partner's class probabilities, or the other peer's.
+                if objective.align == "kl":
+                    column, teacher, tau = "loss_logit", clf.logits(z_partner), cfg.kl_temperature
+                else:
+                    column, teacher, tau = "loss_aux", logits[i - 1].data, 1.0
+                    row["w_logit"] = 1.0
+                terms.append((column, kl_loss_batch(
+                    softmax_temperature(teacher, tau), softmax_temperature(logits[i], tau))))
 
-        total = None
-        for column, loss in terms.items():
-            term = scale(loss, 1.0 / batch.size)
-            row[column] = float(term)
-            if column == "loss_logit":
-                term = scale(term, w)
-            total = term if total is None else total + term
-        row["loss_total"] = float(total)
-        return [total], row
+            # -0.0 is the identity of float addition: a column's first value
+            # is logged as it is, and later networks' values add to it.
+            total = None
+            for column, loss in terms:
+                term = scale(loss, 1.0 / batch.size)
+                row[column] = row.get(column, -0.0) + float(term)
+                if column == "loss_logit":
+                    term = scale(term, w)
+                total = term if total is None else total + term
+            row["loss_total"] = row.get("loss_total", -0.0) + float(total)
+            roots.append(total)
+        return roots, row
 
-    models = [enc] if clf is None else [enc, clf]
+    models = [m for pair in zip(encs, clfs) for m in pair if m is not None]
     metrics = _fit(base, cfg, aug, stage, models, loss_fn)
-    enc_path, clf_path = _save(out_dir, stage, enc, clf, metrics)
-    return StageResult(enc, clf, metrics, enc_path, clf_path)
+    paths = [_save(out_dir, "peer", enc) for enc in encs[:-1]]
+    paths.append(_save(out_dir, stage, encs[-1], clfs[-1], metrics))
+    return [StageResult(enc, clf, metrics, *p) for enc, clf, p in zip(encs, clfs, paths)]
 
 
 def train_partner(
@@ -593,10 +622,10 @@ def train_partner(
             "the contrastive objective is degenerate"
         )
     if reuse is None:
-        return _train_stage(base, cfg, "partner", None, aug, out_dir, net)
+        return _train_stage(base, cfg, "partner", None, aug, out_dir, net)[-1]
     key = partner_key(base, cfg, aug, net)
     if key not in reuse:
-        reuse[key] = _train_stage(base, cfg, "partner", None, aug, None, net)
+        reuse[key] = _train_stage(base, cfg, "partner", None, aug, None, net)[-1]
     done = copy.deepcopy(reuse[key])
     enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
     return replace(done, encoder_checkpoint=enc_path)
@@ -612,62 +641,18 @@ def train_main(
 ) -> StageResult:
     """Stage two: train the main encoder (and classifier) under the
     variant's main objective, ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL."""
-    return _train_stage(base, cfg, "main", partner, aug, out_dir, net)
+    return _train_stage(base, cfg, "main", partner, aug, out_dir, net)[-1]
 
 
 def _train_mutual(
     base: Split, cfg: TrainConfig, aug: AugmentConfig | None, out_dir, net: NetConfig
 ) -> VariantResult:
-    """Joint training of two peers from scratch: one under the contrastive
-    objective, one under cross-entropy, aligned through symmetric KL on
-    their plain class-probability outputs (mutual-learning convention:
-    temperature 1); the cross-entropy model is evaluated."""
-    streams = _seed_streams(cfg)
-    enc_a = net.encoder(base.dim, _seed_int(streams["partner_init"]))
-    enc_b = net.encoder(base.dim, _seed_int(streams["main_init"]))
-    class_list = np.sort(base.classes)
-    clf_a = net.classifier(len(class_list), _seed_int(streams["second_init"]))
-    clf_b = net.classifier(len(class_list), _seed_int(streams["classifier_init"]))
-
-    def loss_fn(batch, w):
-        per = 1.0 / batch.size
-        labels_idx = np.searchsorted(class_list, batch.labels)
-        z_a = enc_a.embed(batch.inputs)
-        z_b = enc_b.embed(batch.inputs)
-        logits_a = clf_a.logits(z_a)
-        logits_b = clf_b.logits(z_b)
-        p_a_const = softmax_temperature(logits_a.data, 1.0)
-        p_b_const = softmax_temperature(logits_b.data, 1.0)
-
-        supct_result = supct_loss(ContrastiveBatchView.supervised(z_a, batch.labels, cfg.tau))
-        l_supct = scale(supct_result.loss, per)
-        l_kl_a = scale(kl_loss_batch(p_b_const, softmax_temperature(logits_a, 1.0)), per)
-        l_ce = scale(ce_loss_batch(logits_b, labels_idx), per)
-        l_kl_b = scale(kl_loss_batch(p_a_const, softmax_temperature(logits_b, 1.0)), per)
-
-        # Two backward roots, not their sum: a summed root can change the
-        # order in which gradients accumulate, and so the trained bytes.
-        loss_a = l_supct + l_kl_a
-        loss_b = l_ce + l_kl_b
-        return [loss_a, loss_b], dict(
-            loss_total=float(loss_a) + float(loss_b),
-            loss_ce=float(l_ce),
-            w_logit=1.0,
-            skipped_positive_instances=supct_result.skipped,
-            loss_aux=float(l_supct) + float(l_kl_a) + float(l_kl_b),
-        )
-
-    metrics = _fit(base, cfg, aug, "main", [enc_a, clf_a, enc_b, clf_b], loss_fn)
-    enc_path, _ = _save(out_dir, "main", enc_b, clf_b, metrics)
-    _save(out_dir, "peer", enc_a)
-    return VariantResult(
-        variant=cfg.variant,
-        encoder=enc_b,
-        classifier=clf_b,
-        partner=enc_a,
-        metrics={"main": metrics},
-        encoder_checkpoint=enc_path,
-    )
+    """Deep mutual learning: the SupCon and CE ``_PEERS`` train from scratch
+    as one main stage, each aligned to the other by its ``"peer"`` term (KL at
+    temperature 1). The CE peer is evaluated; the SupCon one is saved as ``peer``."""
+    peer, main = _train_stage(base, cfg, "main", None, aug, out_dir, net, _PEERS)
+    return VariantResult(cfg.variant, main.encoder, main.classifier, peer.encoder,
+                         {"main": main.metrics}, main.encoder_checkpoint)
 
 
 def train_variant(

@@ -378,6 +378,7 @@ def test_frozen_partner_encodes_each_main_batch_once(tiny_base, variant):
 @pytest.mark.parametrize("variant, stage, column", [
     (Variant.CE_ONLY, "main", "loss_ce"),
     (Variant.PAL, "partner", "loss_aux"),
+    (Variant.MUTUAL, "main", "loss_ce"),
 ])
 def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant, stage, column):
     cfg = TrainConfig(epochs=2, lr=1e200, lr_decay_epoch=2, batch_size=8, warmup_epochs=1,
@@ -388,6 +389,7 @@ def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant,
         f"{variant.value} {stage} stage diverged: {column} = nan at epoch 0, step 1"
     )
     assert not list(tmp_path.glob(f"*{stage}*"))
+    assert not list(tmp_path.glob("peer_*"))
 
 
 @pytest.mark.parametrize("path", ["SGD.step", "sgd_step"])
