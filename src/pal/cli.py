@@ -3,6 +3,7 @@
 Subcommands:
 
 * ``gen-data``         write a seeded synthetic benchmark
+* ``init-config``      write a config file template
 * ``train-partner``    stage one: contrastive partner training
 * ``train-main``       stage two: aligned main-encoder training
 * ``train-variant``    any full training scheme end to end

@@ -19,7 +19,9 @@ Checkpoint format (little-endian throughout)::
     magic "PALW" | u32 version | u32 n_layers | n_layers x (u32 in, u32 out)
     then per layer: in*out float32 weights (row-major) + out float32 biases
 
-A checkpoint holding a non-finite value is refused on load.
+A checkpoint holding a non-finite value, or an encoder checkpoint whose
+layers do not chain (a layer's ``in`` is not the ``out`` before it), is
+refused on load.
 """
 from __future__ import annotations
 
@@ -267,6 +269,12 @@ def load_encoder(path) -> Encoder:
     layers = _read_palw(path)
     if len(layers) < 2:
         raise FormatError(f"{path}: an encoder checkpoint needs >= 2 layers")
+    for i in range(1, len(layers)):
+        fan_in, gives = layers[i][0].shape[0], layers[i - 1][0].shape[1]
+        if fan_in != gives:
+            raise FormatError(
+                f"{path}: layer {i} takes {fan_in} inputs but layer {i - 1} gives {gives}"
+            )
     hidden = tuple(w.shape[1] for w, _ in layers[:-1])
     config = EncoderConfig(
         input_dim=layers[0][0].shape[0],

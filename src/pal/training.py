@@ -3,9 +3,10 @@
 Stage one trains the partner encoder with a contrastive objective; stage two
 trains the main encoder (plus its cosine classifier) under cross-entropy
 with optional feature-level and logit-level alignment against the frozen
-partner. ``train_variant`` runs the full grid of alternatives:
-single-objective baselines, multi-task, mutual learning, the reversed
-integration order, and partners trained under other objectives.
+partner. ``train_variant`` runs every alternative of the ablation grid
+(single-objective baselines, multi-task, mutual learning, the reversed order,
+other partner objectives) as one sequence read from ``_OBJECTIVES``: a
+partner stage, then a main stage.
 
 A run is fixed by its ``TrainConfig`` (objective and schedule), its
 ``AugmentConfig``, its ``NetConfig`` and its data. ``NetConfig`` is the
@@ -304,8 +305,8 @@ def eval_seed(cfg: TrainConfig) -> int:
 
 
 def _stage1_seed(cfg: TrainConfig) -> int:
-    """Seed for a variant's internal pre-training stage, distinct from the
-    stage-two streams."""
+    """Seed of a CE partner stage, distinct from the stage-two streams, so the
+    two networks share neither init nor batch order."""
     return _seed_int(_seed_streams(cfg)["partner_init"])
 
 
@@ -437,9 +438,7 @@ class _Objective:
 _SUPCT = _Objective(contrastive="supct")
 _CE = _Objective(ce=True)
 _PAL = _Objective(ce=True, feat=True, align="logit")
-# Every variant's (partner, main) objectives. A CE partner is the CE_only main
-# stage run under ``_stage1_seed``; SupCT_only evaluates its partner; Mutual
-# trains the two ``_PEERS`` jointly as its main stage.
+# Every variant's (partner, main) objectives, run as train_variant says.
 _OBJECTIVES = {
     Variant.PAL: (_SUPCT, _PAL),
     Variant.CE_ONLY: (None, _CE),
@@ -528,7 +527,7 @@ def _train_stage(
         )
 
     streams = _seed_streams(cfg)
-    class_list = np.sort(base.classes)
+    class_list = base.classes
     encs = [net.encoder(base.dim, _seed_int(streams[enc])) for _, enc, _ in networks]
     clfs = [net.classifier(len(class_list), _seed_int(streams[clf]))
             if objective.ce or objective.align != "none" else None
@@ -616,10 +615,10 @@ def train_partner(
     key. Either way the caller gets (and ``out_dir`` is written from) a copy,
     so freezing or changing a returned encoder never reaches the dict or
     another caller."""
-    if len(base.classes) == 1:
+    if len(base.classes) == 1 and _OBJECTIVES[cfg.variant][0] == _SUPCT:
         logger.warning(
             "train_partner: single-class data; every batch is all-positive and "
-            "the contrastive objective is degenerate"
+            "the SupCon objective is degenerate"
         )
     if reuse is None:
         return _train_stage(base, cfg, "partner", None, aug, out_dir, net)[-1]
@@ -664,57 +663,42 @@ def train_variant(
     *,
     reuse: dict | None = None,
 ) -> VariantResult:
-    """Run the full training scheme selected by ``cfg.variant`` and return
-    the encoder to be evaluated plus everything trained along the way.
+    """Train ``cfg.variant``'s partner stage, then its main stage, as
+    ``_OBJECTIVES`` lists them; return the evaluated encoder and all that was
+    trained. With no main stage (``SupCT_only``) the partner stage is the
+    evaluated one, saved as ``main``. A CE partner is ``CE_only``'s main stage
+    under ``_stage1_seed``. ``Mutual``'s peers train as one main stage.
 
     ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
     included): one dict shared by the rows of a grid trains each distinct
     contrastive partner once, and every row gets its own copy of it. Main
     stages and the CE partner are never stored; no grid repeats one."""
     variant = cfg.variant
+    first, second = _OBJECTIVES[variant]
     # Every stage is checked before the first one writes anything; a CE
     # partner runs under a CE_only config, so its stage is named here.
-    stages = [s for s, o in zip(("partner", "main"), _OBJECTIVES[variant]) if o is not None]
+    stages = [s for s, o in zip(("partner", "main"), (first, second)) if o is not None]
     for stage in stages or ["main"]:
         _require_rows(base, variant, stage)
     if variant == Variant.MUTUAL:
         return _train_mutual(base, cfg, aug, out_dir, net)
 
-    if variant == Variant.SUPCT_ONLY:
-        # The contrastive partner stage alone is the evaluated network.
-        part = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
-        enc_path, _ = _save(out_dir, "main", part.encoder, metrics=part.metrics)
-        return VariantResult(
-            variant=variant,
-            encoder=part.encoder,
-            classifier=None,
-            partner=None,
-            metrics={"main": part.metrics},
-            encoder_checkpoint=enc_path,
-        )
-
-    first = _OBJECTIVES[variant][0]
     partner = None
     metrics = {}
     if first is not None:
         if first.ce:
-            # A cross-entropy partner, trained under its own derived seed so
-            # the two networks share neither init nor batch order.
             ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
             stage1 = train_main(base, ce_cfg, aug=aug, net=net)
         else:
             stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
+        role = "partner" if second is not None else "main"
+        enc_path, _ = _save(out_dir, role, stage1.encoder, metrics=stage1.metrics)
+        metrics[role] = stage1.metrics
+        if second is None:
+            return VariantResult(variant, stage1.encoder, None, None, metrics, enc_path)
         partner = stage1.encoder.freeze()
-        metrics["partner"] = stage1.metrics
-        _save(out_dir, "partner", partner, metrics=stage1.metrics)
 
     main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
     metrics["main"] = main.metrics
-    return VariantResult(
-        variant=variant,
-        encoder=main.encoder,
-        classifier=main.classifier,
-        partner=partner,
-        metrics=metrics,
-        encoder_checkpoint=main.encoder_checkpoint,
-    )
+    return VariantResult(variant, main.encoder, main.classifier, partner, metrics,
+                         main.encoder_checkpoint)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, artifacts, end-to-end pipeline."""
 from __future__ import annotations
 
+import argparse
 import csv
 import os
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import pal
-from pal.cli import main
+import pal.cli
+from pal.cli import build_parser, main
 from pal.data import Split, load_dataset, save_dataset
 from pal.encoders import Encoder, EncoderConfig, save_encoder
 
@@ -173,6 +175,18 @@ def test_checkpoint_of_another_width_names_encode(data_dir, tmp_path, capsys, na
     assert line.startswith("pal: error: encode: expected inputs with 16 features, got shape (")
     assert line.endswith(", 32)")
     assert not out_csv.exists()
+
+
+def test_checkpoint_whose_layers_do_not_chain_is_one_error_line(data_dir, tmp_path, capsys):
+    enc = Encoder(EncoderConfig(input_dim=32, hidden_dims=(16,), embed_dim=8, seed=0))
+    enc.weights[1].data = np.zeros((20, 8))
+    bad = tmp_path / "bad.palw"
+    save_encoder(enc, bad)
+    code = main(["eval-episodes", "--checkpoint", str(bad), "--data",
+                 str(data_dir / "novel.pald"), "--episodes", "5"])
+    assert code == 1
+    assert _one_error_line(capsys) == (
+        f"pal: error: {bad}: layer 1 takes 20 inputs but layer 0 gives 16")
 
 
 @pytest.mark.parametrize("command,stage", [
@@ -341,6 +355,13 @@ def test_pool_modules_import_only_for_parallel_jobs():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_docstring_names_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [name for name in sub.choices if f"``{name}``" not in pal.cli.__doc__]
+    assert sub.choices and missing == []
 
 
 def test_init_config_template(tmp_path):

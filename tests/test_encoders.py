@@ -159,6 +159,18 @@ def test_checkpoint_truncation(tmp_path, config):
         load_encoder(path)
 
 
+def test_checkpoint_whose_layers_do_not_chain_is_refused(tmp_path):
+    # A well-formed file whose layer 1 takes 20 inputs after a 16-wide layer 0
+    # is refused on load, not on the first encode.
+    enc = Encoder(EncoderConfig(input_dim=12, hidden_dims=(16,), embed_dim=8, seed=0))
+    enc.weights[1].data = np.zeros((20, 8))
+    path = tmp_path / "bad.palw"
+    save_encoder(enc, path)
+    with pytest.raises(FormatError,
+                       match=r"bad\.palw: layer 1 takes 20 inputs but layer 0 gives 16"):
+        load_encoder(path)
+
+
 def test_classifier_checkpoint_round_trip(tmp_path):
     clf = CosineClassifier(n_classes=4, embed_dim=6, scale=8.0, seed=3)
     path = tmp_path / "clf.palw"

@@ -184,6 +184,22 @@ def test_train_partner_single_class_warns(caplog, tiny_base):
     assert any("single-class" in rec.message for rec in caplog.records)
 
 
+def test_train_partner_single_class_ct_does_not_warn(caplog, tiny_base):
+    # A CT partner's positive is the row's other view, whatever the classes.
+    import logging
+
+    single = type(tiny_base)(
+        x=tiny_base.x[tiny_base.y == 0], y=tiny_base.y[tiny_base.y == 0],
+        label_width=tiny_base.label_width,
+    )
+    cfg = TrainConfig(epochs=1, lr=0.01, lr_decay_epoch=1, batch_size=4, warmup_epochs=0,
+                      variant=Variant.PARTNER_CT)
+    with caplog.at_level(logging.WARNING, logger="pal.training"):
+        result = train_partner(single, cfg, aug=AUG)
+    assert not any("single-class" in rec.message for rec in caplog.records)
+    assert sum(row["skipped_positive_instances"] for row in result.metrics.rows) == 0
+
+
 def test_train_main_requires_frozen_partner(tiny_base):
     cfg = TrainConfig(epochs=1, lr=0.01, lr_decay_epoch=1, batch_size=8, warmup_epochs=0)
     partner = train_partner(tiny_base, cfg, aug=AUG).encoder  # not frozen
