@@ -1,23 +1,23 @@
 """Run configuration: file format, defaults, and override resolution.
 
 A run config is a flat INI-style text file with sections ``[data]``,
-``[encoder]``, ``[augment]``, ``[train]`` holding ``key = value`` lines.
-Unknown sections or keys are errors, so typos fail fast. Files may omit any
-key; omitted keys take the desk-scale defaults below. CLI flags override
-file values, and the ``PAL_SEED`` environment variable overrides the seed
-from either source.
+``[encoder]``, ``[augment]``, ``[train]`` holding ``key = value`` lines. A
+value is its literal text, with no ``%`` interpolation. Unknown sections or
+keys, ``[DEFAULT]`` included, are errors, so typos fail fast; a file that does
+not parse is a one-line error naming it. Files may omit any key; omitted keys
+take the desk-scale defaults below. CLI flags override file values, and the
+``PAL_SEED`` environment variable overrides the seed from either source.
 
-The ``[encoder]``, ``[augment]`` and ``[train]`` keys are the fields of
-``NetConfig``, ``AugmentConfig`` and ``TrainConfig``: the schema and the
-template are read off the dataclasses, each value parsed and written by the
-entry of ``_FORMATS`` for its field's annotation, so a new field is a new
-key. Only ``[data]`` is listed here.
+``_KEYS`` is the one schema. Its ``[encoder]``, ``[augment]`` and ``[train]``
+keys are the fields of ``NetConfig``, ``AugmentConfig`` and ``TrainConfig``,
+each value parsed and written by the entry of ``_FORMATS`` for its field's
+annotation, so a new field is a new key.
 """
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .batching import AugmentConfig
@@ -96,16 +96,15 @@ def _keys(cls) -> dict:
     return {f.name: _FORMATS[hints[f.name]] for f in fields(cls)}
 
 
-_KEYS = {s: _keys(get_type_hints(RunConfig)[attr]) for s, attr in _SECTIONS.items()}
-_SCHEMA = {
-    "data": {"base": str, "novel": str},
-    **{s: {key: parse for key, (parse, _) in keys.items()} for s, keys in _KEYS.items()},
+_KEYS = {
+    "data": {"base": (str, str), "novel": (str, str)},
+    **{s: _keys(get_type_hints(RunConfig)[attr]) for s, attr in _SECTIONS.items()},
 }
 
 
 def _parse_value(section: str, key: str, raw: str, where: str):
     try:
-        return _SCHEMA[section][key](raw)
+        return _KEYS[section][key][0](raw)
     except ParameterError:
         raise
     except ValueError:
@@ -114,23 +113,29 @@ def _parse_value(section: str, key: str, raw: str, where: str):
 
 def parse_config_file(path) -> dict[str, dict]:
     """Read and type-check a config file; unknown sections/keys are errors."""
-    parser = configparser.ConfigParser()
+    # No file can name the section "", so [DEFAULT] is an ordinary section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep keys case-sensitive
-    read = parser.read(path)
+    try:
+        read = parser.read(os.fspath(path))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a text file ({exc})") from None
+    except configparser.Error as exc:  # names file and line, but over several lines
+        raise ParameterError(" ".join(str(exc).split())) from None
     if not read:
         raise ParameterError(f"config file {path} not found")
     values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ParameterError(
-                f"{path}: unknown section [{section}]; expected {sorted(_SCHEMA)}"
+                f"{path}: unknown section [{section}]; expected {sorted(_KEYS)}"
             )
         values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ParameterError(
                     f"{path}: unknown key {key!r} in [{section}]; "
-                    f"expected {sorted(_SCHEMA[section])}"
+                    f"expected {sorted(_KEYS[section])}"
                 )
             values[section][key] = _parse_value(section, key, raw, str(path))
     return values
@@ -144,7 +149,7 @@ def parse_overrides(pairs: list[str]) -> dict[str, dict]:
             raise ParameterError(f"override {pair!r} must look like section.key=value")
         target, raw = pair.split("=", 1)
         section, key = target.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if section not in _KEYS or key not in _KEYS[section]:
             raise ParameterError(f"override {pair!r} names no known config key")
         values.setdefault(section, {})[key] = _parse_value(section, key, raw, f"override {pair!r}")
     return values
@@ -159,7 +164,7 @@ def build_run_config(
 ) -> RunConfig:
     """Resolve file values, ``--set`` overrides, dedicated flags, and
     ``PAL_SEED`` (which wins over everything) into a RunConfig."""
-    merged = {s: dict() for s in _SCHEMA}
+    merged = {s: dict() for s in _KEYS}
     if config_path is not None:
         for section, kv in parse_config_file(config_path).items():
             merged[section].update(kv)
@@ -178,23 +183,19 @@ def build_run_config(
                 f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
             ) from None
 
-    return RunConfig(
-        base_path=merged["data"].get("base", ""),
-        novel_path=merged["data"].get("novel", ""),
-        net=NetConfig(**merged["encoder"]),
-        augment=AugmentConfig(**{**DESK_AUGMENT, **merged["augment"]}),
-        train=TrainConfig(**{**DESK_TRAIN, **merged["train"]}),
-    )
+    run = RunConfig(base_path=merged["data"].get("base", ""),
+                    novel_path=merged["data"].get("novel", ""))
+    return replace(run, **{attr: replace(getattr(run, attr), **merged[section])
+                           for section, attr in _SECTIONS.items()})
 
 
 def write_config_template(path, run: RunConfig | None = None) -> None:
     """Write a complete config file with every supported key spelled out."""
     run = run or RunConfig()
-    lines = [
-        "[data]",
-        f"base = {run.base_path or 'data/base.pald'}",
-        f"novel = {run.novel_path or 'data/novel.pald'}",
-    ]
+    data = {"base": run.base_path or "data/base.pald",
+            "novel": run.novel_path or "data/novel.pald"}
+    lines = ["[data]"]
+    lines += [f"{key} = {write(data[key])}" for key, (_, write) in _KEYS["data"].items()]
     for section, attr in _SECTIONS.items():
         values = getattr(run, attr)
         lines += ["", f"[{section}]"]

@@ -134,11 +134,8 @@ class Encoder:
 
     def embed(self, x: np.ndarray) -> Tensor:
         """Differentiable forward pass, one graph node whose parents are the
-        weights and biases. Frozen encoders return a constant tensor, so no
-        gradient can ever reach their parameters."""
-        if self.frozen:
-            out, _, single = self._forward(x, "embed")
-            return Tensor(out[0] if single else out)
+        weights and biases. A frozen encoder's node is a constant (``from_op``
+        prunes it), so no gradient can ever reach its parameters."""
         weights = [w.data for w in self.weights]
         inputs = []
         out, norms, single = self._forward(x, "embed", inputs)

@@ -214,7 +214,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     epoch onward."""
     if not 0 <= epoch < cfg.epochs:
         raise ParameterError(f"epoch {epoch} outside [0, {cfg.epochs})")
-    if epoch < cfg.lr_decay_epoch or cfg.lr_decay_epoch == cfg.epochs:
+    if epoch < cfg.lr_decay_epoch:
         return cfg.lr
     return cfg.lr / cfg.lr_decay_factor
 

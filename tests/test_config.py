@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from pal.batching import AugmentConfig
+from pal.cli import main
 from pal.config import (
     SEED_ENV_VAR,
     RunConfig,
@@ -15,6 +18,7 @@ from pal.config import (
     parse_overrides,
     write_config_template,
 )
+from pal.data import Split, save_dataset
 from pal.exceptions import ParameterError
 from pal.training import NetConfig, TrainConfig, Variant
 
@@ -76,6 +80,67 @@ def test_unknown_section_fails_fast(tmp_path):
     path.write_text("[optimizer]\nlr = 3\n")
     with pytest.raises(ParameterError, match=r"unknown section \[optimizer\]"):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 5\n",
+    "[train]\nseed = 1\n\n[DEFAULT]\nepochs = 5\n",
+    "[DEFAULT]\nepochs = 5\n\n[data]\nbase = b.pald\n",
+], ids=["alone", "with-train", "with-data"])
+def test_default_section_is_unknown(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=r"unknown section \[DEFAULT\]"):
+        build_run_config(config_path=path, env={})
+
+
+def test_percent_is_literal_text(tmp_path):
+    path = tmp_path / "run.cfg"
+    base = "runs/100%/base.pald"
+    through_set = build_run_config(overrides=[f"data.base={base}", "data.novel=n.pald"], env={})
+    for run in (RunConfig(base_path=base, novel_path="n.pald"), through_set):
+        assert run.base_path == base
+        write_config_template(path, run)
+        assert build_run_config(config_path=path, env={}) == run
+
+
+# A config file configparser cannot read, and the line it blames (None: none).
+MALFORMED = {
+    "repeated-key": ("[train]\nseed = 1\nseed = 2\n", 3),
+    "repeated-section": ("[train]\nseed = 1\n\n[train]\nlr = 0.1\n", 4),
+    "no-section-header": ("epochs = 5\n", 1),
+    "indented-stray-line": ("[train]\n  stray\n", 2),
+    "dataset": (None, None),
+}
+
+
+def _write_malformed(path, shape):
+    text, _ = MALFORMED[shape]
+    if text is None:  # a dataset file passed as the config
+        save_dataset(Split(np.full((2, 3), 1.5), np.zeros(2, dtype=np.int32), 1), path)
+    else:
+        path.write_text(text)
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_malformed_file_is_one_line_parameter_error(tmp_path, shape):
+    path = tmp_path / "bad.cfg"
+    _write_malformed(path, shape)
+    with pytest.raises(ParameterError) as info:
+        parse_config_file(path)
+    message, line = str(info.value), MALFORMED[shape][1]
+    assert str(path) in message and "\n" not in message
+    assert line is None or re.search(rf"\bline:? {line}\b", message), message
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_malformed_file_is_one_cli_error_line(tmp_path, capsys, shape):
+    path, out = tmp_path / "bad.cfg", tmp_path / "out.cfg"
+    _write_malformed(path, shape)
+    assert main(["init-config", "--config", str(path), str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pal: error: ")
+    assert not out.exists()
 
 
 def test_bad_value_reports_key(tmp_path):
