@@ -4,7 +4,7 @@ Subcommands:
 
 * ``gen-data``         write a seeded synthetic benchmark
 * ``init-config``      write a config file template
-* ``train-partner``    stage one: contrastive partner training
+* ``train-partner``    stage one: the variant's partner
 * ``train-main``       stage two: aligned main-encoder training
 * ``train-variant``    any full training scheme end to end
 * ``eval-episodes``    episodic N-way K-shot evaluation of a checkpoint
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_file", type=Path)
     p.set_defaults(func=cmd_init_config)
 
-    p = sub.add_parser("train-partner", help="stage one: train the partner encoder")
+    p = sub.add_parser("train-partner", help="stage one: the variant's partner")
     _add_config_args(p)
     p.add_argument("--base", type=Path, default=None, help="base split file")
     p.set_defaults(func=cmd_train_partner)

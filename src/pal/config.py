@@ -117,13 +117,14 @@ def parse_config_file(path) -> dict[str, dict]:
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep keys case-sensitive
     try:
-        read = parser.read(os.fspath(path))
+        with open(path) as fh:  # parser.read() would skip a directory or an unreadable file
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise ParameterError(f"config file {path} not found") from None
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not a text file ({exc})") from None
     except configparser.Error as exc:  # names file and line, but over several lines
         raise ParameterError(" ".join(str(exc).split())) from None
-    if not read:
-        raise ParameterError(f"config file {path} not found")
     values: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _KEYS:
@@ -142,12 +143,12 @@ def parse_config_file(path) -> dict[str, dict]:
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, dict]:
-    """Parse repeated ``--set section.key=value`` CLI flags."""
+    """Parse repeated ``--set section.key=value`` CLI flags, stripped as file lines are."""
     values: dict[str, dict] = {}
     for pair in pairs:
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise ParameterError(f"override {pair!r} must look like section.key=value")
-        target, raw = pair.split("=", 1)
+        target, raw = (part.strip() for part in pair.split("=", 1))
         section, key = target.split(".", 1)
         if section not in _KEYS or key not in _KEYS[section]:
             raise ParameterError(f"override {pair!r} names no known config key")

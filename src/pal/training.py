@@ -1,12 +1,12 @@
 """Two-stage training pipeline and every ablation variant.
 
-Stage one trains the partner encoder with a contrastive objective; stage two
-trains the main encoder (plus its cosine classifier) under cross-entropy
-with optional feature-level and logit-level alignment against the frozen
-partner. ``train_variant`` runs every alternative of the ablation grid
-(single-objective baselines, multi-task, mutual learning, the reversed order,
-other partner objectives) as one sequence read from ``_OBJECTIVES``: a
-partner stage, then a main stage.
+Stage one (:func:`train_partner`) trains the partner encoder under a
+contrastive or a CE objective; stage two trains the main encoder (plus its
+cosine classifier) under cross-entropy with optional feature-level and
+logit-level alignment against the frozen partner. ``train_variant`` runs every
+alternative of the ablation grid (single-objective baselines, multi-task,
+mutual learning, the reversed order, other partner objectives) as one sequence
+read from ``_OBJECTIVES``: a partner stage, then a main stage.
 
 A run is fixed by its ``TrainConfig`` (objective and schedule), its
 ``AugmentConfig``, its ``NetConfig`` and its data. ``NetConfig`` is the
@@ -34,8 +34,8 @@ Runs that share a partner stage can share its result instead:
 :func:`partner_key` names every input that fixes a partner stage's bytes
 (the variant counts only through its ``_OBJECTIVES`` entry), and a caller
 that passes one ``reuse`` dict to several ``train_variant`` calls trains
-each distinct partner stage once. Without the dict nothing is hashed or
-stored.
+each distinct partner stage, a CE one included, once. Without the dict
+nothing is hashed or stored.
 
 Logged loss components are per-instance means (component sums divided by the
 2B batch rows), so learning rates keep the same meaning across batch sizes;
@@ -305,8 +305,8 @@ def eval_seed(cfg: TrainConfig) -> int:
 
 
 def _stage1_seed(cfg: TrainConfig) -> int:
-    """Seed of a CE partner stage, distinct from the stage-two streams, so the
-    two networks share neither init nor batch order."""
+    """Seed of a CE partner, which :func:`train_partner` runs as ``CE_only``'s
+    main stage under it, so partner and main share neither init nor batch order."""
     return _seed_int(_seed_streams(cfg)["partner_init"])
 
 
@@ -509,7 +509,7 @@ def _train_stage(
     _require_rows(base, cfg.variant, stage)
     if networks is None:
         objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
-        if objective is None or (stage == "partner" and objective.ce):
+        if objective is None:
             raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
         networks = ((objective, f"{stage}_init", "classifier_init"),)
     needs_partner = any(objective.needs_partner for objective, _, _ in networks)
@@ -607,25 +607,30 @@ def train_partner(
     *,
     reuse: dict | None = None,
 ) -> StageResult:
-    """Stage one: contrastive training of the partner encoder under the
-    variant's partner objective (CT for ``Partner_CT``, SupCT otherwise).
+    """Stage one: train the partner encoder under the variant's partner
+    objective, SupCT, CT (``Partner_CT``) or CE (``Reverse``, ``Partner_CE``);
+    a CE partner is ``CE_only``'s main stage under :func:`_stage1_seed`.
 
     With a ``reuse`` dict, a stage whose :func:`partner_key` is already in it
     is not trained again, and a stage that is trained is stored under its
     key. Either way the caller gets (and ``out_dir`` is written from) a copy,
     so freezing or changing a returned encoder never reaches the dict or
     another caller."""
-    if len(base.classes) == 1 and _OBJECTIVES[cfg.variant][0] == _SUPCT:
-        logger.warning(
-            "train_partner: single-class data; every batch is all-positive and "
-            "the SupCon objective is degenerate"
-        )
+    first = _OBJECTIVES[cfg.variant][0]
+    if len(base.classes) == 1 and first == _SUPCT:
+        logger.warning("train_partner: single-class data; every batch is all-positive and "
+                       "the SupCon objective is degenerate")
+    stage_cfg, stage = cfg, "partner"
+    if first == _CE:
+        _require_rows(base, cfg.variant, "partner")  # so errors name this variant's stage
+        stage_cfg, stage = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg)), "main"
     if reuse is None:
-        return _train_stage(base, cfg, "partner", None, aug, out_dir, net)[-1]
-    key = partner_key(base, cfg, aug, net)
-    if key not in reuse:
-        reuse[key] = _train_stage(base, cfg, "partner", None, aug, None, net)[-1]
-    done = copy.deepcopy(reuse[key])
+        done = _train_stage(base, stage_cfg, stage, None, aug, None, net)[-1]
+    else:
+        key = partner_key(base, cfg, aug, net)
+        if key not in reuse:
+            reuse[key] = _train_stage(base, stage_cfg, stage, None, aug, None, net)[-1]
+        done = copy.deepcopy(reuse[key])
     enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
     return replace(done, encoder_checkpoint=enc_path)
 
@@ -663,34 +668,28 @@ def train_variant(
     *,
     reuse: dict | None = None,
 ) -> VariantResult:
-    """Train ``cfg.variant``'s partner stage, then its main stage, as
-    ``_OBJECTIVES`` lists them; return the evaluated encoder and all that was
-    trained. With no main stage (``SupCT_only``) the partner stage is the
-    evaluated one, saved as ``main``. A CE partner is ``CE_only``'s main stage
-    under ``_stage1_seed``. ``Mutual``'s peers train as one main stage.
+    """Train ``cfg.variant``'s partner stage through :func:`train_partner`,
+    then its main stage, as ``_OBJECTIVES`` lists them; return the evaluated
+    encoder and all that was trained. With no main stage (``SupCT_only``)
+    the partner stage is the evaluated one, saved as ``main``. ``Mutual``'s
+    peers train as one main stage.
 
     ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
     included): one dict shared by the rows of a grid trains each distinct
-    contrastive partner once, and every row gets its own copy of it. Main
-    stages and the CE partner are never stored; no grid repeats one."""
+    partner, CE partners included, once, and every row gets its own copy of
+    it. Main stages are never stored; no table repeats one."""
     variant = cfg.variant
     first, second = _OBJECTIVES[variant]
-    # Every stage is checked before the first one writes anything; a CE
-    # partner runs under a CE_only config, so its stage is named here.
+    # Every stage is checked before the first one writes anything.
     stages = [s for s, o in zip(("partner", "main"), (first, second)) if o is not None]
     for stage in stages or ["main"]:
         _require_rows(base, variant, stage)
     if variant == Variant.MUTUAL:
         return _train_mutual(base, cfg, aug, out_dir, net)
 
-    partner = None
-    metrics = {}
+    partner, metrics = None, {}
     if first is not None:
-        if first.ce:
-            ce_cfg = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg))
-            stage1 = train_main(base, ce_cfg, aug=aug, net=net)
-        else:
-            stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
+        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
         role = "partner" if second is not None else "main"
         enc_path, _ = _save(out_dir, role, stage1.encoder, metrics=stage1.metrics)
         metrics[role] = stage1.metrics

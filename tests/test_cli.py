@@ -88,6 +88,26 @@ def test_full_pipeline_and_eval(data_dir, tmp_path, capsys):
     assert csv_path.exists()
 
 
+@pytest.mark.parametrize("variant", ["PAL", "Reverse", "Partner_CT", "Partner_CE",
+                                     "PAL_logit_only", "PAL_feat_only", "PAL_KL_logit",
+                                     "PAL_feat_KL"])
+def test_two_step_cli_writes_what_train_variant_writes(data_dir, tmp_path, capsys, variant):
+    """Every variant with a partner and a main stage, a CE partner included,
+    runs as train-partner then train-main --partner, byte for byte."""
+    base, steps, whole = str(data_dir / "base.pald"), tmp_path / "steps", tmp_path / "whole"
+    tiny = [*TRAIN_TINY, "--set", f"train.variant={variant}"]
+    assert main(["train-partner", "--base", base, "--out", str(steps), *tiny]) == 0
+    assert main(["train-main", "--base", base, "--partner",
+                 str(steps / "partner_encoder.palw"), "--out", str(steps), *tiny]) == 0
+    assert main(["train-variant", "--variant", variant, "--base", base, "--out", str(whole),
+                 *TRAIN_TINY]) == 0
+    names = sorted(f.name for f in whole.iterdir())
+    assert names == sorted(f.name for f in steps.iterdir())
+    assert {"partner_encoder.palw", "metrics_partner.csv", "main_encoder.palw"} <= set(names)
+    for name in names:
+        assert (steps / name).read_bytes() == (whole / name).read_bytes(), name
+
+
 def test_metrics_csv_schema(data_dir, tmp_path):
     run = tmp_path / "run"
     main(["train-variant", "--variant", "CE_only",

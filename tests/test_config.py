@@ -143,6 +143,34 @@ def test_malformed_file_is_one_cli_error_line(tmp_path, capsys, shape):
     assert not out.exists()
 
 
+def test_config_that_is_a_directory_is_one_cli_error_line(tmp_path, capsys):
+    adir, out = tmp_path / "adir", tmp_path / "out.cfg"
+    adir.mkdir()
+    assert main(["init-config", "--config", str(adir), str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pal: error: ") and str(adir) in lines[0]
+    assert "not found" not in lines[0]
+    assert not out.exists()
+
+
+def test_set_values_are_stripped_like_file_values(tmp_path):
+    """``--set`` keys and values lose their surrounding spaces, as a file
+    line's do, so both give the same config, which survives the template."""
+    path = tmp_path / "spaced.cfg"
+    path.write_text("[data]\nbase =  runs/x.pald \nnovel = n.pald  \n"
+                    "[encoder]\nhidden_dims =  8, 4 \n"
+                    "[train]\nvariant =  Reverse\nn_pos  = 3\nkl_tau =  0.25 \n")
+    overrides = ["data.base= runs/x.pald ", "data.novel=n.pald  ", "encoder.hidden_dims= 8, 4 ",
+                 "train.variant= Reverse", "train.n_pos = 3", " train.kl_tau= 0.25 "]
+    from_file = build_run_config(config_path=path, env={})
+    from_set = build_run_config(overrides=overrides, env={})
+    assert from_set == from_file
+    assert (from_set.base_path, from_set.novel_path) == ("runs/x.pald", "n.pald")
+    assert from_set.train.variant is Variant.REVERSE and from_set.net.hidden_dims == (8, 4)
+    write_config_template(path, from_set)
+    assert build_run_config(config_path=path, env={}) == from_set
+
+
 def test_bad_value_reports_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[train]\nepochs = many\n")

@@ -259,7 +259,8 @@ def test_train_main_variant_components(tiny_base):
 
 def test_train_variant_stage_sequence(tiny_base, monkeypatch):
     """Which stage trainers each variant runs, under which variant and seed;
-    a CE partner is the CE_only main stage under the derived stage-one seed."""
+    every partner, a CE one included, trains through train_partner, and a CE
+    partner is the CE_only main stage under the derived stage-one seed."""
     import pal.training
 
     calls = []
@@ -284,9 +285,9 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
         Variant.SUPCT_ONLY: [(partner, Variant.SUPCT_ONLY, s)],
         Variant.MULTITASK: [(main, Variant.MULTITASK, s)],
         Variant.MUTUAL: [("_train_mutual", Variant.MUTUAL, s)],
-        Variant.REVERSE: [(main, Variant.CE_ONLY, s1), (main, Variant.REVERSE, s)],
+        Variant.REVERSE: pal_like(Variant.REVERSE),
         Variant.PARTNER_CT: pal_like(Variant.PARTNER_CT),
-        Variant.PARTNER_CE: [(main, Variant.CE_ONLY, s1), (main, Variant.PARTNER_CE, s)],
+        Variant.PARTNER_CE: pal_like(Variant.PARTNER_CE),
         Variant.PAL_LOGIT_ONLY: pal_like(Variant.PAL_LOGIT_ONLY),
         Variant.PAL_FEAT_ONLY: pal_like(Variant.PAL_FEAT_ONLY),
         Variant.PAL_KL_LOGIT: pal_like(Variant.PAL_KL_LOGIT),
@@ -297,11 +298,15 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
         calls.clear()
         train_variant(tiny_base, replace(cfg, variant=variant), aug=AUG)
         assert calls == sequence, variant
+    ce_partner = train_partner(tiny_base, replace(cfg, variant=Variant.REVERSE), aug=AUG)
+    ce_main = train_main(tiny_base, replace(cfg, variant=Variant.CE_ONLY, seed=s1), aug=AUG)
+    for p, q in zip(ce_partner.encoder.parameters(), ce_main.encoder.parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
 
 
 def test_stage_without_objective_is_refused(tiny_base):
     cfg = replace(TINY_CFG, epochs=1, lr_decay_epoch=1, warmup_epochs=0)
-    for variant in (Variant.CE_ONLY, Variant.MULTITASK, Variant.MUTUAL, Variant.PARTNER_CE):
+    for variant in (Variant.CE_ONLY, Variant.MULTITASK, Variant.MUTUAL):
         with pytest.raises(ParameterError, match="no partner stage"):
             train_partner(tiny_base, replace(cfg, variant=variant), aug=AUG)
     for variant in (Variant.SUPCT_ONLY, Variant.MUTUAL):
@@ -500,6 +505,38 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
         assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     assert stored.checkpoint == tmp_path / "hit" / "partner_encoder.palw"
     assert plain.checkpoint == tmp_path / "plain" / "partner_encoder.palw"
+
+
+def test_reuse_trains_a_shared_ce_partner_once(tmp_path, tiny_base, monkeypatch):
+    """Reverse and Partner_CE share their CE partner through one dict; each
+    row still writes the bytes of a run without it."""
+    fits = []
+    real_fit = pal.training._fit
+    monkeypatch.setattr(pal.training, "_fit",
+                        lambda *a: fits.append((a[1].variant, a[3])) or real_fit(*a))
+    reuse, rows = {}, (Variant.REVERSE, Variant.PARTNER_CE)
+    for variant in rows:
+        train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
+                      out_dir=tmp_path / "shared" / variant.value, reuse=reuse)
+    assert fits == [(Variant.CE_ONLY, "main"), (Variant.REVERSE, "main"),
+                    (Variant.PARTNER_CE, "main")] and len(reuse) == 1
+    for variant in rows:
+        train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
+                      out_dir=tmp_path / "alone" / variant.value)
+    for variant in rows:
+        shared, alone = tmp_path / "shared" / variant.value, tmp_path / "alone" / variant.value
+        names = sorted(f.name for f in alone.iterdir())
+        assert names == sorted(f.name for f in shared.iterdir())
+        assert "partner_encoder.palw" in names and "partner_classifier.palw" not in names
+        for name in names:
+            assert (shared / name).read_bytes() == (alone / name).read_bytes(), (variant, name)
+
+
+def test_ce_partner_on_one_class_names_its_own_stage(tiny_base):
+    one = replace(tiny_base, y=np.full_like(tiny_base.y, tiny_base.y[0]))
+    for reuse in (None, {}):
+        with pytest.raises(ParameterError, match="^Reverse partner stage: cross-entropy"):
+            train_partner(one, replace(TINY_CFG, variant=Variant.REVERSE), aug=AUG, reuse=reuse)
 
 
 def test_single_run_computes_no_partner_key(tiny_base, monkeypatch):
