@@ -1,41 +1,32 @@
 """Two-stage training pipeline and every ablation variant.
 
 Stage one (:func:`train_partner`) trains the partner encoder under a
-contrastive or a CE objective; stage two trains the main encoder (plus its
-cosine classifier) under cross-entropy with optional feature-level and
-logit-level alignment against the frozen partner. ``train_variant`` runs every
-alternative of the ablation grid (single-objective baselines, multi-task,
-mutual learning, the reversed order, other partner objectives) as one sequence
-read from ``_OBJECTIVES``: a partner stage, then a main stage.
+contrastive or a CE objective; stage two (:func:`train_main`) trains the main
+encoder (plus its cosine classifier) under cross-entropy with optional
+feature-level and logit-level alignment against the frozen partner.
+``train_variant`` runs every alternative of the ablation grid (baselines,
+multi-task, mutual learning, the reversed order, other partner objectives).
 
 A run is fixed by its ``TrainConfig`` (objective and schedule), its
-``AugmentConfig``, its ``NetConfig`` and its data. ``NetConfig`` is the
-network shape every stage shares: the encoder's hidden and embedding widths,
-the cosine classifier's scale and, optionally, the input width the data must
-have. The trainers take it as one ``net=`` argument and build every encoder
-and classifier through it.
+``AugmentConfig``, its ``NetConfig`` (the network shape every stage shares:
+hidden and embedding widths, the classifier's scale and, optionally, the
+input width the data must have) and its data.
 
-Every stage runs on one engine. ``_OBJECTIVES`` is the one table of what
-each variant trains in its partner and main stages, and ``_PEERS`` holds
-Mutual's two networks, each aligned to the other by a ``"peer"`` term;
-``_train_stage`` turns a stage's networks into their models and a per-batch
+A stage is data: ``_STAGES`` maps each variant to its frozen ``_Stage``
+records, each with a display name (variant and role), its data-order seed
+stream and seed, and its networks (objective and init streams; two for
+``Mutual``'s main stage, each aligned to the other by a ``"peer"`` term).
+``_train_stage`` turns a record into its models and a per-batch
 ``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
-data-order seed stream, batching, the non-finite loss check, the optimizer
-step under the lr schedule and the alignment warm-up, the metrics log, and
-the final float32 rounding), and ``_save`` alone decides the file layout of
-a run directory: ``{role}_encoder.palw``, ``{role}_classifier.palw`` and
-``metrics_{role}.csv`` (written by :func:`pal.data.write_csv`, like every
-CSV of the package).
+data order, batching, the non-finite loss check, the optimizer step under
+the lr schedule and the alignment warm-up, the metrics log, and the final
+float32 rounding), and ``_save`` alone decides a run directory's layout:
+``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``.
 
-One training run is a single logical writer over its model state; runs with
-distinct configs are fully independent (each derives every generator it uses
-from its own seed), so an ablation grid can execute them concurrently.
-Runs that share a partner stage can share its result instead:
-:func:`partner_key` names every input that fixes a partner stage's bytes
-(the variant counts only through its ``_OBJECTIVES`` entry), and a caller
-that passes one ``reuse`` dict to several ``train_variant`` calls trains
-each distinct partner stage, a CE one included, once. Without the dict
-nothing is hashed or stored.
+Runs are fully independent (each derives every generator it uses from its
+own seed), so a grid can run them concurrently; or they share stages: with
+one ``reuse`` dict, each distinct :func:`_stage_key` (exactly what fixes a
+stage's bytes) trains once. Without the dict nothing is hashed or stored.
 
 Logged loss components are per-instance means (component sums divided by the
 2B batch rows), so learning rates keep the same meaning across batch sizes;
@@ -47,7 +38,7 @@ import copy
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -56,24 +47,11 @@ import numpy as np
 from .batching import AugmentConfig, build_batch, sample_anchor_sets
 from .core import Tensor, backward, scale, softmax_temperature
 from .data import Split, write_csv
-from .encoders import (
-    CosineClassifier,
-    Encoder,
-    EncoderConfig,
-    check_shape,
-    save_classifier,
-    save_encoder,
-)
+from .encoders import (CosineClassifier, Encoder, EncoderConfig, check_shape, save_classifier,
+                       save_encoder)
 from .exceptions import ContractError, DivergenceError, ParameterError
-from .losses import (
-    ContrastiveBatchView,
-    ce_loss_batch,
-    ct_loss,
-    feat_align_loss,
-    kl_loss_batch,
-    logit_align_loss_batch,
-    supct_loss,
-)
+from .losses import (ContrastiveBatchView, ce_loss_batch, ct_loss, feat_align_loss, kl_loss_batch,
+                     logit_align_loss_batch, supct_loss)
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +75,7 @@ class Variant(str, Enum):
         for member in cls:
             if member.value == name:
                 return member
-        raise ParameterError(
-            f"unknown variant {name!r}; expected one of {[m.value for m in cls]}"
-        )
+        raise ParameterError(f"unknown variant {name!r}; expected one of {[m.value for m in cls]}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +108,10 @@ class TrainConfig:
         if self.lr_decay_factor <= 0:
             raise ParameterError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
         if not 0 <= self.lr_decay_epoch <= self.epochs:
-            raise ParameterError(
-                f"lr_decay_epoch must lie in [0, epochs], got {self.lr_decay_epoch}"
-            )
+            raise ParameterError(f"lr_decay_epoch must lie in [0, epochs], "
+                                 f"got {self.lr_decay_epoch}")
         if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ParameterError(
-                f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}"
-            )
+            raise ParameterError(f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0:
@@ -185,9 +158,8 @@ class NetConfig:
 
     def encoder(self, input_dim: int, seed: int) -> Encoder:
         if self.input_dim and self.input_dim != input_dim:
-            raise ParameterError(
-                f"[encoder] input_dim = {self.input_dim} but the data has {input_dim} features"
-            )
+            raise ParameterError(f"[encoder] input_dim = {self.input_dim} but the data has "
+                                 f"{input_dim} features")
         return Encoder(EncoderConfig(input_dim, self.hidden_dims, self.embed_dim, seed))
 
     def classifier(self, n_classes: int, seed: int) -> CosineClassifier:
@@ -249,18 +221,8 @@ class SGD:
             p.data = p.data - np.multiply(v, lr, out=g)
 
 
-METRIC_COLUMNS = (
-    "epoch",
-    "step",
-    "lr",
-    "loss_total",
-    "loss_ce",
-    "loss_feat",
-    "loss_logit",
-    "w_logit",
-    "skipped_positive_instances",
-    "loss_aux",
-)
+METRIC_COLUMNS = ("epoch", "step", "lr", "loss_total", "loss_ce", "loss_feat", "loss_logit",
+                  "w_logit", "skipped_positive_instances", "loss_aux")
 
 
 class MetricsLogger:
@@ -281,16 +243,8 @@ class MetricsLogger:
 
 
 def _seed_streams(cfg: TrainConfig) -> dict[str, np.random.SeedSequence]:
-    names = (
-        "partner_init",
-        "main_init",
-        "classifier_init",
-        "partner_data",
-        "main_data",
-        "anchors",
-        "second_init",
-        "eval",
-    )
+    names = ("partner_init", "main_init", "classifier_init", "partner_data", "main_data",
+             "anchors", "second_init", "eval")
     return dict(zip(names, np.random.SeedSequence(cfg.seed).spawn(len(names))))
 
 
@@ -304,15 +258,7 @@ def eval_seed(cfg: TrainConfig) -> int:
     return _seed_int(_seed_streams(cfg)["eval"])
 
 
-def _stage1_seed(cfg: TrainConfig) -> int:
-    """Seed of a CE partner, which :func:`train_partner` runs as ``CE_only``'s
-    main stage under it, so partner and main share neither init nor batch order."""
-    return _seed_int(_seed_streams(cfg)["partner_init"])
-
-
-def _iter_batches(
-    split: Split, cfg: TrainConfig, rng: np.random.Generator, aug: AugmentConfig
-):
+def _iter_batches(split: Split, cfg: TrainConfig, rng: np.random.Generator, aug: AugmentConfig):
     order = rng.permutation(len(split.y))
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start : start + cfg.batch_size]
@@ -334,6 +280,7 @@ class StageResult:
     metrics: MetricsLogger
     encoder_checkpoint: Path | None = None
     classifier_checkpoint: Path | None = None
+    peer: Encoder | None = None  # the other network of a joint stage (Mutual's SupCon one)
 
     @property
     def checkpoint(self) -> Path | None:
@@ -354,24 +301,20 @@ class VariantResult:
 LOSS_COLUMNS = ("loss_ce", "loss_feat", "loss_logit", "loss_aux", "loss_total")
 
 
-def _fit(
-    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: str, models, loss_fn
-) -> MetricsLogger:
-    """The one training loop behind every stage.
-
-    ``models`` are the encoders and classifiers the stage trains; all their
-    parameters share one optimizer, and classifier rows are re-normalized
-    after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
-    logit-alignment weight and returns the backward roots plus the metrics
-    row for the step. The data order is drawn from the run's
-    ``{stage}_data`` seed stream. The first non-finite loss
-    (:class:`DivergenceError`) raises before its own step, so a failed stage
-    returns nothing to save.
-    """
+def _fit(base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: _Stage, models,
+         loss_fn) -> MetricsLogger:
+    """The one training loop behind every stage. ``models`` are the encoders
+    and classifiers it trains; all their parameters share one optimizer, and
+    classifier rows are re-normalized after every step. ``loss_fn(batch, w)``
+    gets the batch and the epoch's logit-alignment weight and returns the
+    backward roots plus the metrics row for the step. The data order is drawn
+    from the stage's ``data`` seed stream. The first non-finite loss raises
+    :class:`DivergenceError`, naming the stage, before its own step, so a
+    failed stage returns nothing to save."""
     aug = aug if aug is not None else AugmentConfig()
     opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
     classifiers = [m for m in models if isinstance(m, CosineClassifier)]
-    data_rng = np.random.default_rng(_seed_streams(cfg)[f"{stage}_data"])
+    data_rng = np.random.default_rng(_seed_streams(cfg)[stage.data])
     schedule = WarmupSchedule(cfg.warmup_epochs)
     metrics = MetricsLogger()
 
@@ -382,10 +325,8 @@ def _fit(
             roots, row = loss_fn(batch, w)
             for column in LOSS_COLUMNS:
                 if not math.isfinite(row.get(column, 0.0)):
-                    raise DivergenceError(
-                        f"{cfg.variant.value} {stage} stage diverged: {column} = "
-                        f"{row[column]} at epoch {epoch}, step {step}"
-                    )
+                    raise DivergenceError(f"{stage.name} stage diverged: {column} = "
+                                          f"{row[column]} at epoch {epoch}, step {step}")
             opt.zero_grad()
             for root in roots:
                 backward(root)
@@ -434,104 +375,199 @@ class _Objective:
     def needs_partner(self) -> bool:
         return self.feat or self.align in ("logit", "kl")
 
+    def reads(self, cfg: TrainConfig) -> tuple:
+        """The resolved ``cfg`` values beyond the schedule that the network's
+        terms and metrics row read, None for each it does not: the warm-up (a
+        peer term logs ``w_logit`` as 1), ``tau``, the logit and KL
+        temperatures, and the anchor caps."""
+        return (None if self.align == "peer" else cfg.warmup_epochs,
+                cfg.tau if self.feat or self.contrastive != "none" else None,
+                cfg.logit_temperature if self.align == "logit" else None,
+                cfg.kl_temperature if self.align == "kl" else None,
+                (cfg.n_pos, cfg.n_neg) if self.feat else None)
+
+
+@dataclass(frozen=True)
+class _Network:
+    """A network of a stage: its objective and its init seed streams. It has a
+    classifier when the objective has CE or an alignment term."""
+
+    objective: _Objective
+    encoder_init: str
+    classifier_init: str = "classifier_init"
+
+    @property
+    def classified(self) -> bool:
+        return self.objective.ce or self.objective.align != "none"
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """A stage of a variant. ``variant`` and ``role`` ("partner" or "main")
+    only name it, so they are no part of its equality. ``data`` is its
+    data-order seed stream, and ``seed`` the stream of the run seed its own
+    seed is drawn from (None: the run seed)."""
+
+    variant: Variant = field(compare=False)
+    role: str = field(compare=False)
+    networks: tuple[_Network, ...]
+    data: str
+    seed: str | None = None
+
+    @property
+    def name(self) -> str:
+        return f"{self.variant.value} {self.role}"
+
+    @property
+    def needs_partner(self) -> bool:
+        return any(n.objective.needs_partner for n in self.networks)
+
 
 _SUPCT = _Objective(contrastive="supct")
 _CE = _Objective(ce=True)
 _PAL = _Objective(ce=True, feat=True, align="logit")
-# Every variant's (partner, main) objectives, run as train_variant says.
-_OBJECTIVES = {
-    Variant.PAL: (_SUPCT, _PAL),
-    Variant.CE_ONLY: (None, _CE),
-    Variant.SUPCT_ONLY: (_SUPCT, None),
-    Variant.MULTITASK: (None, _Objective(ce=True, contrastive="supct")),
-    Variant.MUTUAL: (None, None),
+
+
+def _partner(objective: _Objective) -> tuple:
+    """The ``_Stage`` fields after the variant of a partner stage under
+    ``objective``. A CE partner trains as ``CE_only``'s main stage does, under
+    the seed drawn from the run's ``partner_init`` stream, so partner and main
+    share neither init nor batch order."""
+    if objective == _CE:
+        return "partner", (_Network(_CE, "main_init"),), "main_data", "partner_init"
+    return "partner", (_Network(objective, "partner_init"),), "partner_data"
+
+
+def _main(objective: _Objective) -> tuple:
+    return "main", (_Network(objective, "main_init"),), "main_data"
+
+
+# Every variant's stages, in the order train_variant runs them.
+_STAGES = {variant: tuple(_Stage(variant, *fields) for fields in stages) for variant, stages in {
+    Variant.PAL: (_partner(_SUPCT), _main(_PAL)),
+    Variant.CE_ONLY: (_main(_CE),),
+    Variant.SUPCT_ONLY: (_partner(_SUPCT),),
+    Variant.MULTITASK: (_main(_Objective(ce=True, contrastive="supct")),),
+    # Deep mutual learning: a SupCon and the evaluated CE network train from
+    # scratch as one stage, each aligned to the other.
+    Variant.MUTUAL: (("main", (
+        _Network(_Objective(contrastive="supct", align="peer"), "partner_init", "second_init"),
+        _Network(_Objective(ce=True, align="peer"), "main_init")), "main_data"),),
     # Contrastive second network anchored on a cross-entropy partner.
-    Variant.REVERSE: (_CE, _Objective(feat=True, contrastive="supct")),
-    Variant.PARTNER_CT: (_Objective(contrastive="ct"), _PAL),
-    Variant.PARTNER_CE: (_CE, _PAL),
-    Variant.PAL_LOGIT_ONLY: (_SUPCT, _Objective(ce=True, align="logit")),
-    Variant.PAL_FEAT_ONLY: (_SUPCT, _Objective(ce=True, feat=True)),
-    Variant.PAL_KL_LOGIT: (_SUPCT, _Objective(ce=True, align="kl")),
-    Variant.PAL_FEAT_KL: (_SUPCT, _Objective(ce=True, feat=True, align="kl")),
-}
-# Mutual's peers as (objective, encoder seed stream, classifier seed stream):
-# a SupCon network and the evaluated CE network, each aligned to the other.
-_PEERS = (
-    (_Objective(contrastive="supct", align="peer"), "partner_init", "second_init"),
-    (_Objective(ce=True, align="peer"), "main_init", "classifier_init"),
-)
+    Variant.REVERSE: (_partner(_CE), _main(_Objective(feat=True, contrastive="supct"))),
+    Variant.PARTNER_CT: (_partner(_Objective(contrastive="ct")), _main(_PAL)),
+    Variant.PARTNER_CE: (_partner(_CE), _main(_PAL)),
+    Variant.PAL_LOGIT_ONLY: (_partner(_SUPCT), _main(_Objective(ce=True, align="logit"))),
+    Variant.PAL_FEAT_ONLY: (_partner(_SUPCT), _main(_Objective(ce=True, feat=True))),
+    Variant.PAL_KL_LOGIT: (_partner(_SUPCT), _main(_Objective(ce=True, align="kl"))),
+    Variant.PAL_FEAT_KL: (_partner(_SUPCT), _main(_Objective(ce=True, feat=True, align="kl"))),
+}.items()}
 
 
-def _require_rows(base: Split, variant: Variant, stage: str) -> None:
-    """Reject a split the stage cannot train on, naming the variant and stage,
-    before any model is built: an empty one, or one of fewer than 2 classes
-    when the stage's objective has cross-entropy (every ``Mutual`` stage)."""
+def _stage_of(variant: Variant, role: str) -> _Stage:
+    for stage in _STAGES[variant]:
+        if stage.role == role:
+            return stage
+    raise ParameterError(f"variant {variant.value} has no {role} stage of its own")
+
+
+def _require_rows(stage: _Stage, base: Split) -> None:
+    """Reject a split the stage cannot train on, naming the stage, before any
+    model is built: an empty one, or one of fewer than 2 classes when a
+    network of the stage has cross-entropy."""
     if len(base.y) == 0:
-        raise ParameterError(f"{variant.value} {stage} stage: the base split has no rows")
-    objective = _OBJECTIVES[variant][("partner", "main").index(stage)]
+        raise ParameterError(f"{stage.name} stage: the base split has no rows")
     n_classes = len(base.classes)
-    if n_classes < 2 and (variant == Variant.MUTUAL or objective is not None and objective.ce):
-        raise ParameterError(
-            f"{variant.value} {stage} stage: cross-entropy needs >= 2 base classes, "
-            f"got {n_classes}"
-        )
+    if n_classes < 2 and any(n.objective.ce for n in stage.networks):
+        raise ParameterError(f"{stage.name} stage: cross-entropy needs >= 2 base classes, "
+                             f"got {n_classes}")
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 of ``arrays``, each with its dtype and shape."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
+
+
+def _split_digest(base: Split) -> str:
+    return _digest(base.x, base.y, np.array(base.label_width))
+
+
+# The TrainConfig fields every stage reads; the others are in _Objective.reads.
+_SCHEDULE = ("epochs", "lr", "lr_decay_factor", "lr_decay_epoch", "batch_size", "seed",
+             "weight_decay", "momentum")
+
+
+def _stage_key(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig,
+               split_digest: str | None = None) -> tuple:
+    """Exactly what fixes the bytes ``stage`` trains: the record without its
+    name, the schedule, the resolved values its networks read, the
+    ``AugmentConfig``, the network shape (input width resolved, classifier
+    scale only for a stage with a classifier), the split's digest and, for an
+    aligned stage, its partner's weights. So one dict serves calls on other
+    splits, configs or partners, and calls that differ only in a value the
+    stage does not read share it."""
+    classified = any(n.classified for n in stage.networks)
+    return (
+        stage,
+        tuple(getattr(cfg, name) for name in _SCHEDULE),
+        tuple(n.objective.reads(cfg) for n in stage.networks),
+        aug if aug is not None else AugmentConfig(),
+        (net.input_dim or base.dim, net.hidden_dims, net.embed_dim,
+         net.scale if classified else None),
+        split_digest or _split_digest(base),
+        _digest(*(p.data for p in partner.parameters())) if stage.needs_partner else None,
+    )
 
 
 def partner_key(base: Split, cfg: TrainConfig, aug, net: NetConfig) -> tuple:
-    """Everything that fixes the bytes ``cfg``'s partner stage trains (it
-    trains against no other network): its ``_OBJECTIVES`` entry, the
-    ``TrainConfig`` with the variant normalized away, the ``AugmentConfig``
-    and ``NetConfig``, and a SHA-256 of the split's arrays (with their
-    shapes and dtypes) and label width. The key holds all of them, not just
-    the objective, so one dict may serve calls on different splits or
-    configs without handing any of them a stage it did not ask for."""
-    digest = hashlib.sha256()
-    for array in (base.x, base.y):
-        digest.update(f"{array.dtype.str}{array.shape}".encode())
-        digest.update(np.ascontiguousarray(array))
-    digest.update(str(base.label_width).encode())
-    return (_OBJECTIVES[cfg.variant][0], replace(cfg, variant=Variant.PAL),
-            aug if aug is not None else AugmentConfig(), net, digest.hexdigest())
+    """The :func:`_stage_key` of ``cfg.variant``'s partner stage."""
+    return _stage_key(_stage_of(cfg.variant, "partner"), base, cfg, None, aug, net)
 
 
-def _train_stage(
-    base: Split, cfg: TrainConfig, stage: str, partner: Encoder | None, aug, out_dir,
-    net: NetConfig, networks: tuple | None = None,
-) -> list[StageResult]:
-    """Train the ``stage`` ("partner" or "main") of ``cfg.variant``, one
-    result per network. ``networks`` are (objective, encoder seed stream,
-    classifier seed stream) triples trained jointly; by default, the stage's
-    ``_OBJECTIVES`` entry from ``{stage}_init``. A network has a classifier
-    when its objective has CE or an alignment term. Its terms' per-instance
-    means sum to its own backward root: one summed root could reorder the
-    gradient accumulation, and so the trained bytes. The last network is
-    saved as ``{stage}``, an earlier one as ``peer`` (encoder only)."""
-    _require_rows(base, cfg.variant, stage)
-    if networks is None:
-        objective = _OBJECTIVES[cfg.variant][("partner", "main").index(stage)]
-        if objective is None:
-            raise ParameterError(f"variant {cfg.variant.value} has no {stage} stage of its own")
-        networks = ((objective, f"{stage}_init", "classifier_init"),)
-    needs_partner = any(objective.needs_partner for objective, _, _ in networks)
-    if needs_partner and (partner is None or not partner.frozen):
-        raise ContractError(f"variant {cfg.variant.value} needs a frozen partner encoder")
-    if needs_partner and partner.config.embed_dim != net.embed_dim:
-        raise ContractError(
-            f"variant {cfg.variant.value}: the partner embeds in {partner.config.embed_dim} "
-            f"dimensions but the main encoder in {net.embed_dim}"
-        )
-    if needs_partner and partner.config.input_dim != base.dim:
-        raise ContractError(
-            f"variant {cfg.variant.value}: the partner takes {partner.config.input_dim} "
-            f"input features but the base split has {base.dim}"
-        )
+def _trained(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig,
+             reuse: dict | None, split_digest: str | None) -> StageResult:
+    """``stage`` trained on ``base``, once its inputs are checked. With a
+    ``reuse`` dict it trains only if its :func:`_stage_key` is not in the dict
+    yet, and is stored under it; either way the caller gets a copy, so what
+    it does to the result never reaches the dict or another caller."""
+    _require_rows(stage, base)
+    if stage.needs_partner:
+        variant = stage.variant.value
+        if partner is None or not partner.frozen:
+            raise ContractError(f"variant {variant} needs a frozen partner encoder")
+        if partner.config.embed_dim != net.embed_dim:
+            raise ContractError(f"variant {variant}: the partner embeds in "
+                                f"{partner.config.embed_dim} dimensions but the main encoder "
+                                f"in {net.embed_dim}")
+        if partner.config.input_dim != base.dim:
+            raise ContractError(f"variant {variant}: the partner takes {partner.config.input_dim} "
+                                f"input features but the base split has {base.dim}")
+    if reuse is None:
+        return _train_stage(stage, base, cfg, partner, aug, net)
+    key = _stage_key(stage, base, cfg, partner, aug, net, split_digest)
+    if key not in reuse:
+        reuse[key] = _train_stage(stage, base, cfg, partner, aug, net)
+    return copy.deepcopy(reuse[key])
 
+
+def _train_stage(stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder | None, aug,
+                 net: NetConfig) -> StageResult:
+    """Train ``stage``'s networks jointly. Each network's terms'
+    per-instance means sum to its own backward root: one summed root could
+    reorder the gradient accumulation, and so the trained bytes. The result
+    is the last network's; an earlier one's encoder is its ``peer``."""
+    if stage.seed is not None:
+        cfg = replace(cfg, seed=_seed_int(_seed_streams(cfg)[stage.seed]))
     streams = _seed_streams(cfg)
     class_list = base.classes
-    encs = [net.encoder(base.dim, _seed_int(streams[enc])) for _, enc, _ in networks]
-    clfs = [net.classifier(len(class_list), _seed_int(streams[clf]))
-            if objective.ce or objective.align != "none" else None
-            for objective, _, clf in networks]
+    objectives = [n.objective for n in stage.networks]
+    encs = [net.encoder(base.dim, _seed_int(streams[n.encoder_init])) for n in stage.networks]
+    clfs = [net.classifier(len(class_list), _seed_int(streams[n.classifier_init]))
+            if n.classified else None for n in stage.networks]
     anchor_rng = np.random.default_rng(streams["anchors"])
 
     def loss_fn(batch, w):
@@ -539,17 +575,15 @@ def _train_stage(
         logits = [clf.logits(z) if clf else None for clf, z in zip(clfs, zs)]
         # The anchors are the partner's embeddings of this batch, so a
         # variant that samples them encodes the batch once.
-        if any(objective.feat for objective, _, _ in networks):
-            anchors = sample_anchor_sets(
-                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
-            )
+        if any(objective.feat for objective in objectives):
+            anchors = sample_anchor_sets(partner, batch, anchor_rng, cfg.n_pos, cfg.n_neg)
             z_partner = anchors.features
-        elif needs_partner:
+        elif stage.needs_partner:
             z_partner = partner.encode(batch.inputs)
 
         roots = []
         row = {"skipped_positive_instances": 0}
-        for i, ((objective, _, _), z, clf) in enumerate(zip(networks, zs, clfs)):
+        for i, (objective, z, clf) in enumerate(zip(objectives, zs, clfs)):
             terms = []
             if objective.ce:
                 terms.append(("loss_ce", ce_loss_batch(
@@ -593,111 +627,76 @@ def _train_stage(
 
     models = [m for pair in zip(encs, clfs) for m in pair if m is not None]
     metrics = _fit(base, cfg, aug, stage, models, loss_fn)
-    paths = [_save(out_dir, "peer", enc) for enc in encs[:-1]]
-    paths.append(_save(out_dir, stage, encs[-1], clfs[-1], metrics))
-    return [StageResult(enc, clf, metrics, *p) for enc, clf, p in zip(encs, clfs, paths)]
+    return StageResult(encs[-1], clfs[-1], metrics, peer=encs[0] if len(encs) > 1 else None)
 
 
-def train_partner(
-    base: Split,
-    cfg: TrainConfig,
-    aug: AugmentConfig | None = None,
-    out_dir=None,
-    net: NetConfig = NetConfig(),
-    *,
-    reuse: dict | None = None,
-) -> StageResult:
-    """Stage one: train the partner encoder under the variant's partner
-    objective, SupCT, CT (``Partner_CT``) or CE (``Reverse``, ``Partner_CE``);
-    a CE partner is ``CE_only``'s main stage under :func:`_stage1_seed`.
+def train_partner(base: Split, cfg: TrainConfig, aug: AugmentConfig | None = None, out_dir=None,
+                  net: NetConfig = NetConfig(), *, reuse: dict | None = None,
+                  split_digest: str | None = None) -> StageResult:
+    """Stage one: train ``cfg.variant``'s partner stage, SupCT, CT
+    (``Partner_CT``) or CE (``Reverse``, ``Partner_CE``).
 
-    With a ``reuse`` dict, a stage whose :func:`partner_key` is already in it
-    is not trained again, and a stage that is trained is stored under its
-    key. Either way the caller gets (and ``out_dir`` is written from) a copy,
-    so freezing or changing a returned encoder never reaches the dict or
-    another caller."""
-    first = _OBJECTIVES[cfg.variant][0]
-    if len(base.classes) == 1 and first == _SUPCT:
+    With a ``reuse`` dict, a stage whose key the dict holds is not trained
+    again, and a stage that trains is stored; either way the caller gets
+    (and ``out_dir`` is written from) its own copy. ``split_digest`` is
+    ``base``'s digest, when the caller has it."""
+    stage = _stage_of(cfg.variant, "partner")
+    if len(base.classes) == 1 and stage.networks[0].objective == _SUPCT:
         logger.warning("train_partner: single-class data; every batch is all-positive and "
                        "the SupCon objective is degenerate")
-    stage_cfg, stage = cfg, "partner"
-    if first == _CE:
-        _require_rows(base, cfg.variant, "partner")  # so errors name this variant's stage
-        stage_cfg, stage = replace(cfg, variant=Variant.CE_ONLY, seed=_stage1_seed(cfg)), "main"
-    if reuse is None:
-        done = _train_stage(base, stage_cfg, stage, None, aug, None, net)[-1]
-    else:
-        key = partner_key(base, cfg, aug, net)
-        if key not in reuse:
-            reuse[key] = _train_stage(base, stage_cfg, stage, None, aug, None, net)[-1]
-        done = copy.deepcopy(reuse[key])
+    done = _trained(stage, base, cfg, None, aug, net, reuse, split_digest)
     enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
     return replace(done, encoder_checkpoint=enc_path)
 
 
-def train_main(
-    base: Split,
-    cfg: TrainConfig,
-    partner: Encoder | None = None,
-    aug: AugmentConfig | None = None,
-    out_dir=None,
-    net: NetConfig = NetConfig(),
-) -> StageResult:
-    """Stage two: train the main encoder (and classifier) under the
-    variant's main objective, ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL."""
-    return _train_stage(base, cfg, "main", partner, aug, out_dir, net)[-1]
+def train_main(base: Split, cfg: TrainConfig, partner: Encoder | None = None,
+               aug: AugmentConfig | None = None, out_dir=None, net: NetConfig = NetConfig(), *,
+               reuse: dict | None = None, split_digest: str | None = None) -> StageResult:
+    """Stage two: train ``cfg.variant``'s main stage, the main encoder (and
+    classifier) under ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL.
+    ``Mutual``'s trains its two peers jointly: the result is the CE one, and
+    its ``peer`` the SupCon one, saved as ``peer``. ``reuse`` and
+    ``split_digest`` work as in :func:`train_partner`."""
+    done = _trained(_stage_of(cfg.variant, "main"), base, cfg, partner, aug, net, reuse,
+                    split_digest)
+    if done.peer is not None:
+        _save(out_dir, "peer", done.peer)
+    enc_path, clf_path = _save(out_dir, "main", done.encoder, done.classifier, done.metrics)
+    return replace(done, encoder_checkpoint=enc_path, classifier_checkpoint=clf_path)
 
 
-def _train_mutual(
-    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, out_dir, net: NetConfig
-) -> VariantResult:
-    """Deep mutual learning: the SupCon and CE ``_PEERS`` train from scratch
-    as one main stage, each aligned to the other by its ``"peer"`` term (KL at
-    temperature 1). The CE peer is evaluated; the SupCon one is saved as ``peer``."""
-    peer, main = _train_stage(base, cfg, "main", None, aug, out_dir, net, _PEERS)
-    return VariantResult(cfg.variant, main.encoder, main.classifier, peer.encoder,
-                         {"main": main.metrics}, main.encoder_checkpoint)
+# perfbench/tracer.py patches this name; Mutual's stage trains through train_main.
+_train_mutual = train_main
 
 
-def train_variant(
-    base: Split,
-    cfg: TrainConfig,
-    aug: AugmentConfig | None = None,
-    out_dir=None,
-    net: NetConfig = NetConfig(),
-    *,
-    reuse: dict | None = None,
-) -> VariantResult:
-    """Train ``cfg.variant``'s partner stage through :func:`train_partner`,
-    then its main stage, as ``_OBJECTIVES`` lists them; return the evaluated
-    encoder and all that was trained. With no main stage (``SupCT_only``)
-    the partner stage is the evaluated one, saved as ``main``. ``Mutual``'s
-    peers train as one main stage.
+def train_variant(base: Split, cfg: TrainConfig, aug: AugmentConfig | None = None, out_dir=None,
+                  net: NetConfig = NetConfig(), *, reuse: dict | None = None) -> VariantResult:
+    """Train ``cfg.variant``'s ``_STAGES``, the partner stage through
+    :func:`train_partner` and the main stage through :func:`train_main`;
+    return the evaluated encoder and all that was trained. With no main
+    stage (``SupCT_only``) the partner stage is the evaluated one, saved as
+    ``main``.
 
-    ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
-    included): one dict shared by the rows of a grid trains each distinct
-    partner, CE partners included, once, and every row gets its own copy of
-    it. Main stages are never stored; no table repeats one."""
-    variant = cfg.variant
-    first, second = _OBJECTIVES[variant]
-    # Every stage is checked before the first one writes anything.
-    stages = [s for s, o in zip(("partner", "main"), (first, second)) if o is not None]
-    for stage in stages or ["main"]:
-        _require_rows(base, variant, stage)
-    if variant == Variant.MUTUAL:
-        return _train_mutual(base, cfg, aug, out_dir, net)
-
+    ``reuse`` reaches both stages (the split is digested once per call): one
+    dict shared by the rows of a grid or the settings of a sweep trains each
+    distinct stage once, and every row gets its own copy of it."""
+    variant, stages = cfg.variant, _STAGES[cfg.variant]
+    for stage in stages:  # every stage is checked before the first one writes anything
+        _require_rows(stage, base)
+    digest = None if reuse is None else _split_digest(base)
     partner, metrics = None, {}
-    if first is not None:
-        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
-        role = "partner" if second is not None else "main"
+    if stages[0].role == "partner":
+        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse, split_digest=digest)
+        role = "partner" if len(stages) > 1 else "main"
         enc_path, _ = _save(out_dir, role, stage1.encoder, metrics=stage1.metrics)
         metrics[role] = stage1.metrics
-        if second is None:
+        if len(stages) == 1:
             return VariantResult(variant, stage1.encoder, None, None, metrics, enc_path)
         partner = stage1.encoder.freeze()
 
-    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
+    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net,
+                      reuse=reuse, split_digest=digest)
     metrics["main"] = main.metrics
+    partner = main.peer if partner is None else partner
     return VariantResult(variant, main.encoder, main.classifier, partner, metrics,
                          main.encoder_checkpoint)

@@ -88,6 +88,18 @@ def test_full_pipeline_and_eval(data_dir, tmp_path, capsys):
     assert csv_path.exists()
 
 
+def test_train_main_runs_mutual_as_train_variant_does(data_dir, tmp_path):
+    """Mutual's one main stage trains its two peers through train-main."""
+    base, tiny = str(data_dir / "base.pald"), [*TRAIN_TINY, "--set", "train.variant=Mutual"]
+    assert main(["train-main", "--base", base, "--out", str(tmp_path / "main"), *tiny]) == 0
+    assert main(["train-variant", "--variant", "Mutual", "--base", base,
+                 "--out", str(tmp_path / "whole"), *TRAIN_TINY]) == 0
+    whole = _tree(tmp_path / "whole")
+    assert _tree(tmp_path / "main") == whole
+    assert {str(p) for p in whole} == {"peer_encoder.palw", "main_encoder.palw",
+                                       "main_classifier.palw", "metrics_main.csv"}
+
+
 @pytest.mark.parametrize("variant", ["PAL", "Reverse", "Partner_CT", "Partner_CE",
                                      "PAL_logit_only", "PAL_feat_only", "PAL_KL_logit",
                                      "PAL_feat_KL"])
@@ -492,27 +504,23 @@ def _grid(data_dir, out, table, jobs=1):
 
 @pytest.mark.parametrize("table, alone", [(3, 8), (4, 7), (5, 11)])
 def test_grid_trains_each_distinct_stage_once_with_the_same_bytes(data_dir, tmp_path, monkeypatch,
-                                                                  table, alone):
-    """Rows that share a partner stage train it once per ``run_table`` call;
-    every file is what the rows write when each trains on its own."""
+                                                                  fit_calls, table, alone):
+    """Rows that share a stage train it once per ``run_table`` call; every
+    file is what the rows write when each trains on its own."""
     import pal.ablation
-    import pal.training
 
-    fits = []
-    real_fit = pal.training._fit
-    monkeypatch.setattr(pal.training, "_fit", lambda *a: fits.append(a[3]) or real_fit(*a))
     shared = _grid(data_dir, tmp_path / "shared", table)
-    assert len(fits) == 7
-    fits.clear()
+    assert len(fit_calls) == 7
+    fit_calls.clear()
     assert _grid(data_dir, tmp_path / "again", table) == shared
-    assert len(fits) == 7  # nothing carries over from the first call
+    assert len(fit_calls) == 7  # nothing carries over from the first call
 
     real_train = pal.ablation.train_variant
     monkeypatch.setattr(pal.ablation, "train_variant",
                         lambda *a, reuse=None, **kw: real_train(*a, **kw))
-    fits.clear()
+    fit_calls.clear()
     assert _grid(data_dir, tmp_path / "alone", table) == shared
-    assert len(fits) == alone
+    assert len(fit_calls) == alone
 
 
 def test_parallel_grid_writes_the_sequential_bytes(data_dir, tmp_path):

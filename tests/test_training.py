@@ -1,7 +1,9 @@
 """Optimizer, schedules, and the training pipelines."""
 from __future__ import annotations
 
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,11 @@ from pal.training import (
     TrainConfig,
     Variant,
     WarmupSchedule,
-    _stage1_seed,
+    _STAGES,
+    _seed_int,
+    _seed_streams,
+    _stage_key,
+    _trained,
     lr_at,
     partner_key,
     sgd_step,
@@ -259,12 +265,11 @@ def test_train_main_variant_components(tiny_base):
 
 def test_train_variant_stage_sequence(tiny_base, monkeypatch):
     """Which stage trainers each variant runs, under which variant and seed;
-    every partner, a CE one included, trains through train_partner, and a CE
-    partner is the CE_only main stage under the derived stage-one seed."""
-    import pal.training
-
+    every partner, a CE one included, trains through train_partner, every
+    main stage, Mutual's included, through train_main, and a CE partner is
+    the CE_only main stage under the seed drawn from the partner_init stream."""
     calls = []
-    for name in ("train_partner", "train_main", "_train_mutual"):
+    for name in ("train_partner", "train_main"):
         real = getattr(pal.training, name)
 
         def record(base, cfg, *args, _name=name, _real=real, **kwargs):
@@ -273,7 +278,7 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
 
         monkeypatch.setattr(pal.training, name, record)
     cfg = replace(TINY_CFG, epochs=1, lr_decay_epoch=1, warmup_epochs=0, seed=9)
-    s, s1 = cfg.seed, _stage1_seed(cfg)
+    s, s1 = cfg.seed, _seed_int(_seed_streams(cfg)["partner_init"])
     partner, main = "train_partner", "train_main"
 
     def pal_like(v):
@@ -284,7 +289,7 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
         Variant.CE_ONLY: [(main, Variant.CE_ONLY, s)],
         Variant.SUPCT_ONLY: [(partner, Variant.SUPCT_ONLY, s)],
         Variant.MULTITASK: [(main, Variant.MULTITASK, s)],
-        Variant.MUTUAL: [("_train_mutual", Variant.MUTUAL, s)],
+        Variant.MUTUAL: [(main, Variant.MUTUAL, s)],
         Variant.REVERSE: pal_like(Variant.REVERSE),
         Variant.PARTNER_CT: pal_like(Variant.PARTNER_CT),
         Variant.PARTNER_CE: pal_like(Variant.PARTNER_CE),
@@ -309,9 +314,8 @@ def test_stage_without_objective_is_refused(tiny_base):
     for variant in (Variant.CE_ONLY, Variant.MULTITASK, Variant.MUTUAL):
         with pytest.raises(ParameterError, match="no partner stage"):
             train_partner(tiny_base, replace(cfg, variant=variant), aug=AUG)
-    for variant in (Variant.SUPCT_ONLY, Variant.MUTUAL):
-        with pytest.raises(ParameterError, match="no main stage"):
-            train_main(tiny_base, replace(cfg, variant=variant), aug=AUG)
+    with pytest.raises(ParameterError, match="no main stage"):
+        train_main(tiny_base, replace(cfg, variant=Variant.SUPCT_ONLY), aug=AUG)
 
 
 def test_train_variant_ce_only_and_multitask(tiny_base):
@@ -338,14 +342,18 @@ def test_train_variant_mutual_both_networks_move(tiny_base):
     )
     result = train_variant(tiny_base, cfg, aug=AUG)
     # Fresh encoders with the same derived seeds reproduce the inits.
-    from pal.training import NetConfig, _seed_int, _seed_streams
-
     streams = _seed_streams(cfg)
     init_a = NetConfig().encoder(tiny_base.dim, _seed_int(streams["partner_init"]))
     init_b = NetConfig().encoder(tiny_base.dim, _seed_int(streams["main_init"]))
     assert not np.allclose(result.partner.weights[0].data, init_a.weights[0].data)
     assert not np.allclose(result.encoder.weights[0].data, init_b.weights[0].data)
     assert result.classifier is not None
+    # Mutual's one main stage trains through train_main; its peer is the variant's partner.
+    stage = train_main(tiny_base, cfg, aug=AUG)
+    for trained, alone in ((result.partner, stage.peer), (result.encoder, stage.encoder),
+                           (result.classifier, stage.classifier)):
+        assert all(p.data.tobytes() == q.data.tobytes()
+                   for p, q in zip(trained.parameters(), alone.parameters()))
 
 
 def test_train_variant_reverse_evaluates_second_network(tiny_base):
@@ -400,6 +408,7 @@ def test_frozen_partner_encodes_each_main_batch_once(tiny_base, variant):
     (Variant.CE_ONLY, "main", "loss_ce"),
     (Variant.PAL, "partner", "loss_aux"),
     (Variant.MUTUAL, "main", "loss_ce"),
+    (Variant.REVERSE, "partner", "loss_ce"),
 ])
 def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant, stage, column):
     cfg = TrainConfig(epochs=2, lr=1e200, lr_decay_epoch=2, batch_size=8, warmup_epochs=1,
@@ -434,29 +443,62 @@ def test_sgd_momentum_zero_matches_the_vanilla_loop_bitwise(path):
         assert np.array_equal(p.data, e.data)
 
 
-# A valid value other than TINY_CFG's for every TrainConfig field but the variant.
-OTHER_TRAIN = dict(epochs=3, lr=0.04, lr_decay_factor=5.0, lr_decay_epoch=1, batch_size=9,
-                   tau=0.4, kl_tau=0.3, logit_tau=0.3, warmup_epochs=2, seed=1,
-                   weight_decay=1e-3, momentum=0.5, n_pos=2, n_neg=2)
-OTHER_AUG = dict(noise_sigma=0.2, mask_prob=0.2)
-OTHER_NET = dict(input_dim=16, hidden_dims=(8,), embed_dim=16, scale=5.0)
-
-
 def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig()):
     return partner_key(base, cfg, aug, net)
 
 
-def test_partner_key_changes_with_every_config_field(tiny_base):
-    plain = _key(tiny_base)
-    for f in fields(TrainConfig):
-        if f.name != "variant":
-            other = replace(TINY_CFG, **{f.name: OTHER_TRAIN[f.name]})
-            assert _key(tiny_base, cfg=other) != plain, f.name
-    for f in fields(AugmentConfig):
-        assert _key(tiny_base, aug=replace(AUG, **{f.name: OTHER_AUG[f.name]})) != plain, f.name
-    for f in fields(NetConfig):
-        assert _key(tiny_base, net=NetConfig(**{f.name: OTHER_NET[f.name]})) != plain, f.name
-    assert _key(tiny_base, aug=None) == _key(tiny_base, aug=AugmentConfig())
+# A config under which every schedule field moves every stage's bytes (the lr
+# decays from epoch 0, the logit weight is 1), a valid other value for each
+# TrainConfig field but the variant, and the same for the other two configs.
+EXACT_CFG = replace(TINY_CFG, epochs=1, lr_decay_epoch=0, warmup_epochs=0)
+OTHER_TRAIN = dict(epochs=2, lr=0.04, lr_decay_factor=5.0, lr_decay_epoch=1, batch_size=9,
+                   tau=0.4, kl_tau=0.3, logit_tau=0.3, warmup_epochs=1, seed=1,
+                   weight_decay=1e-3, momentum=0.5, n_pos=2, n_neg=2)
+EXACT_NET = NetConfig(hidden_dims=(8,), embed_dim=8)
+OTHER_AUG = dict(noise_sigma=0.2, mask_prob=0.2)
+OTHER_NET = dict(input_dim=16, hidden_dims=(6,), embed_dim=4, scale=5.0)
+
+
+def _stage_bytes(result):
+    models = (result.encoder, result.classifier, result.peer)
+    return ([p.data.tobytes() for m in models if m is not None for p in m.parameters()],
+            [repr(row) for row in result.metrics.rows])
+
+
+def test_stage_key_moves_exactly_when_the_stage_bytes_move(tiny_base):
+    """For every distinct stage record and every TrainConfig, AugmentConfig
+    and NetConfig field (and the partner of an aligned stage): perturbing it
+    changes the stage's key if and only if it changes the bytes it trains
+    (weights and float64 metrics rows)."""
+    def partner(embed_dim, seed=1):
+        return Encoder(EncoderConfig(tiny_base.dim, (8,), embed_dim, seed)).freeze()
+
+    plain = dict(cfg=EXACT_CFG, aug=AUG, net=EXACT_NET, partner=partner(8))
+    perturbed = {f"train.{name}": dict(plain, cfg=replace(EXACT_CFG, **{name: value}))
+                 for name, value in OTHER_TRAIN.items()}
+    perturbed.update({f"augment.{name}": dict(plain, aug=replace(AUG, **{name: value}))
+                      for name, value in OTHER_AUG.items()})
+    for name, value in OTHER_NET.items():
+        net = replace(EXACT_NET, **{name: value})
+        perturbed[f"net.{name}"] = dict(plain, net=net, partner=partner(net.embed_dim))
+    perturbed["partner"] = dict(plain, partner=partner(8, seed=2))
+    assert {f.name for f in fields(TrainConfig)} - {"variant"} == set(OTHER_TRAIN)
+    assert {f.name for f in fields(AugmentConfig)} == set(OTHER_AUG)
+    assert {f.name for f in fields(NetConfig)} == set(OTHER_NET)
+
+    def run(stage, cfg, aug, net, partner):
+        key = _stage_key(stage, tiny_base, cfg, partner, aug, net)
+        return key, _stage_bytes(_trained(stage, tiny_base, cfg, partner, aug, net, None, None))
+
+    stages = {stage for stages in _STAGES.values() for stage in stages}
+    assert len(stages) == 12
+    for stage in stages:
+        key, trained = run(stage, **plain)
+        assert _stage_key(stage, tiny_base, EXACT_CFG, plain["partner"], None, EXACT_NET) == \
+            _stage_key(stage, tiny_base, EXACT_CFG, plain["partner"], AugmentConfig(), EXACT_NET)
+        for name, inputs in perturbed.items():
+            other_key, other = run(stage, **inputs)
+            assert (other_key != key) == (other != trained), (stage.name, name)
 
 
 def test_partner_key_changes_with_every_data_byte_and_label(tiny_base):
@@ -480,17 +522,14 @@ def test_partner_key_reads_the_partner_objective(tiny_base):
     assert key_of(Variant.PARTNER_CT) != key_of(Variant.PAL)
 
 
-def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
-    fits = []
-    real_fit = pal.training._fit
-    monkeypatch.setattr(pal.training, "_fit", lambda *a: fits.append(a[3]) or real_fit(*a))
+def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, fit_calls):
     reuse = {}
     first = train_variant(tiny_base, TINY_CFG, aug=AUG, reuse=reuse)
     second = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.PAL_FEAT_ONLY), aug=AUG,
                            reuse=reuse)
     alone = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.SUPCT_ONLY), aug=AUG,
                           reuse=reuse)
-    assert fits == ["partner", "main", "main"] and len(reuse) == 1
+    assert fit_calls == ["PAL partner", "PAL main", "PAL_feat_only main"] and len(reuse) == 3
     # Every caller gets its own copy: freezing one row's partner reaches no other row.
     assert first.partner is not second.partner
     assert first.partner.frozen and second.partner.frozen and not alone.encoder.frozen
@@ -500,36 +539,52 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, monkeypatch):
     # A stored stage is still written where its caller asks.
     stored = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "hit", reuse=reuse)
     plain = train_partner(tiny_base, TINY_CFG, aug=AUG, out_dir=tmp_path / "plain")
-    assert len(fits) == 4
+    assert len(fit_calls) == 4
     for name in ("partner_encoder.palw", "metrics_partner.csv"):
         assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     assert stored.checkpoint == tmp_path / "hit" / "partner_encoder.palw"
     assert plain.checkpoint == tmp_path / "plain" / "partner_encoder.palw"
 
 
-def test_reuse_trains_a_shared_ce_partner_once(tmp_path, tiny_base, monkeypatch):
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_reuse_trains_a_shared_ce_partner_once(tmp_path, tiny_base, fit_calls):
     """Reverse and Partner_CE share their CE partner through one dict; each
     row still writes the bytes of a run without it."""
-    fits = []
-    real_fit = pal.training._fit
-    monkeypatch.setattr(pal.training, "_fit",
-                        lambda *a: fits.append((a[1].variant, a[3])) or real_fit(*a))
     reuse, rows = {}, (Variant.REVERSE, Variant.PARTNER_CE)
     for variant in rows:
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
                       out_dir=tmp_path / "shared" / variant.value, reuse=reuse)
-    assert fits == [(Variant.CE_ONLY, "main"), (Variant.REVERSE, "main"),
-                    (Variant.PARTNER_CE, "main")] and len(reuse) == 1
+    assert fit_calls == ["Reverse partner", "Reverse main", "Partner_CE main"]
+    assert len(reuse) == 3
     for variant in rows:
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
                       out_dir=tmp_path / "alone" / variant.value)
-    for variant in rows:
-        shared, alone = tmp_path / "shared" / variant.value, tmp_path / "alone" / variant.value
-        names = sorted(f.name for f in alone.iterdir())
-        assert names == sorted(f.name for f in shared.iterdir())
-        assert "partner_encoder.palw" in names and "partner_classifier.palw" not in names
-        for name in names:
-            assert (shared / name).read_bytes() == (alone / name).read_bytes(), (variant, name)
+    assert _files(tmp_path / "shared") == _files(tmp_path / "alone")
+    names = {p.name for p in _files(tmp_path / "alone")}
+    assert "partner_encoder.palw" in names and "partner_classifier.palw" not in names
+
+
+def test_a_sweep_trains_each_stage_a_setting_moves_once(tmp_path, tiny_base, fit_calls):
+    """PAL rows over (logit_tau, n_pos) share one dict: the SupCon partner
+    reads neither value and trains once, and a row whose settings resolve to
+    another row's temperature reuses that row's main stage too. Every row
+    writes the bytes of a run without the dict."""
+    settings = [dict(logit_tau=1.0), dict(logit_tau=2.0), dict(logit_tau=1.0, n_pos=2),
+                dict(logit_tau=TINY_CFG.tau), dict(logit_tau=None)]
+    reuse = {}
+    for i, setting in enumerate(settings):
+        train_variant(tiny_base, replace(TINY_CFG, **setting), aug=AUG,
+                      out_dir=tmp_path / "shared" / str(i), reuse=reuse)
+        if i == 2:
+            assert fit_calls == ["PAL partner"] + ["PAL main"] * 3
+    assert len(fit_calls) == len(reuse) == 5
+    for i, setting in enumerate(settings):
+        train_variant(tiny_base, replace(TINY_CFG, **setting), aug=AUG,
+                      out_dir=tmp_path / "alone" / str(i))
+    assert _files(tmp_path / "shared") == _files(tmp_path / "alone")
 
 
 def test_ce_partner_on_one_class_names_its_own_stage(tiny_base):
@@ -541,8 +596,30 @@ def test_ce_partner_on_one_class_names_its_own_stage(tiny_base):
 
 def test_single_run_computes_no_partner_key(tiny_base, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a run without a reuse dict computed a partner key")
+        raise AssertionError("a run without a reuse dict computed a stage key")
 
-    monkeypatch.setattr(pal.training, "partner_key", refuse)
-    for variant in (Variant.PAL, Variant.SUPCT_ONLY, Variant.PARTNER_CE):
+    for name in ("_stage_key", "_split_digest"):
+        monkeypatch.setattr(pal.training, name, refuse)
+    for variant in (Variant.PAL, Variant.SUPCT_ONLY, Variant.PARTNER_CE, Variant.MUTUAL):
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG)
+
+
+_TERM_NAMES = {"supct": "SupCon", "ct": "CT", "logit": "logit", "kl": "KL", "peer": "peer KL"}
+
+
+def _objective_text(objective):
+    terms = ["CE"] * objective.ce + ["feat"] * objective.feat
+    return " + ".join(terms + [_TERM_NAMES[t] for t in (objective.contrastive, objective.align)
+                               if t != "none"])
+
+
+def test_readme_stage_table_is_the_stage_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\S+) (partner|main)` \| ([^|]+) \| (.+) \|$", readme, re.M)
+    expected = [
+        (stage.variant.value, stage.role,
+         "; ".join(_objective_text(n.objective) for n in stage.networks),
+         f"`{stage.data}`" + (f" of the `{stage.seed}` seed" if stage.seed else ""))
+        for stages in _STAGES.values() for stage in stages
+    ]
+    assert len(expected) == 20 and rows == expected
