@@ -8,8 +8,8 @@ drawn once per grid. Every row evaluates under the same seed, so every row
 is scored on the same episodes, and ``jobs > 1`` executes rows in worker
 processes that get those inputs as arguments.
 
-With ``jobs == 1`` the rows share one dict of trained stages, partner and
-main, per :func:`run_table` call (``train_variant``'s ``reuse``), so a stage
+With ``jobs == 1`` the rows share one dict of trained partner stages per
+:func:`run_table` call (``train_variant``'s ``reuse``), so a partner stage
 several rows share trains once (table 5: 7 stages, not 11; table 3: 7, not
 8) and each row still writes its own files, byte for byte. Worker rows do
 not share stages.

@@ -26,7 +26,8 @@ float32 rounding), and ``_save`` alone decides a run directory's layout:
 Runs are fully independent (each derives every generator it uses from its
 own seed), so a grid can run them concurrently; or they share stages: with
 one ``reuse`` dict, each distinct :func:`_stage_key` (exactly what fixes a
-stage's bytes) trains once. Without the dict nothing is hashed or stored.
+stage's bytes) trains once; ``train_variant`` hands the dict to its partner
+stage only. Without the dict nothing is hashed or stored.
 
 Logged loss components are per-instance means (component sums divided by the
 2B batch rows), so learning rates keep the same meaning across batch sizes;
@@ -47,11 +48,24 @@ import numpy as np
 from .batching import AugmentConfig, build_batch, sample_anchor_sets
 from .core import Tensor, backward, scale, softmax_temperature
 from .data import Split, write_csv
-from .encoders import (CosineClassifier, Encoder, EncoderConfig, check_shape, save_classifier,
-                       save_encoder)
+from .encoders import (
+    CosineClassifier,
+    Encoder,
+    EncoderConfig,
+    check_shape,
+    save_classifier,
+    save_encoder,
+)
 from .exceptions import ContractError, DivergenceError, ParameterError
-from .losses import (ContrastiveBatchView, ce_loss_batch, ct_loss, feat_align_loss, kl_loss_batch,
-                     logit_align_loss_batch, supct_loss)
+from .losses import (
+    ContrastiveBatchView,
+    ce_loss_batch,
+    ct_loss,
+    feat_align_loss,
+    kl_loss_batch,
+    logit_align_loss_batch,
+    supct_loss,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +89,9 @@ class Variant(str, Enum):
         for member in cls:
             if member.value == name:
                 return member
-        raise ParameterError(f"unknown variant {name!r}; expected one of {[m.value for m in cls]}")
+        raise ParameterError(
+            f"unknown variant {name!r}; expected one of {[m.value for m in cls]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -108,10 +124,13 @@ class TrainConfig:
         if self.lr_decay_factor <= 0:
             raise ParameterError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
         if not 0 <= self.lr_decay_epoch <= self.epochs:
-            raise ParameterError(f"lr_decay_epoch must lie in [0, epochs], "
-                                 f"got {self.lr_decay_epoch}")
+            raise ParameterError(
+                f"lr_decay_epoch must lie in [0, epochs], got {self.lr_decay_epoch}"
+            )
         if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ParameterError(f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}")
+            raise ParameterError(
+                f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}"
+            )
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0:
@@ -158,8 +177,9 @@ class NetConfig:
 
     def encoder(self, input_dim: int, seed: int) -> Encoder:
         if self.input_dim and self.input_dim != input_dim:
-            raise ParameterError(f"[encoder] input_dim = {self.input_dim} but the data has "
-                                 f"{input_dim} features")
+            raise ParameterError(
+                f"[encoder] input_dim = {self.input_dim} but the data has {input_dim} features"
+            )
         return Encoder(EncoderConfig(input_dim, self.hidden_dims, self.embed_dim, seed))
 
     def classifier(self, n_classes: int, seed: int) -> CosineClassifier:
@@ -221,8 +241,18 @@ class SGD:
             p.data = p.data - np.multiply(v, lr, out=g)
 
 
-METRIC_COLUMNS = ("epoch", "step", "lr", "loss_total", "loss_ce", "loss_feat", "loss_logit",
-                  "w_logit", "skipped_positive_instances", "loss_aux")
+METRIC_COLUMNS = (
+    "epoch",
+    "step",
+    "lr",
+    "loss_total",
+    "loss_ce",
+    "loss_feat",
+    "loss_logit",
+    "w_logit",
+    "skipped_positive_instances",
+    "loss_aux",
+)
 
 
 class MetricsLogger:
@@ -243,8 +273,16 @@ class MetricsLogger:
 
 
 def _seed_streams(cfg: TrainConfig) -> dict[str, np.random.SeedSequence]:
-    names = ("partner_init", "main_init", "classifier_init", "partner_data", "main_data",
-             "anchors", "second_init", "eval")
+    names = (
+        "partner_init",
+        "main_init",
+        "classifier_init",
+        "partner_data",
+        "main_data",
+        "anchors",
+        "second_init",
+        "eval",
+    )
     return dict(zip(names, np.random.SeedSequence(cfg.seed).spawn(len(names))))
 
 
@@ -258,7 +296,9 @@ def eval_seed(cfg: TrainConfig) -> int:
     return _seed_int(_seed_streams(cfg)["eval"])
 
 
-def _iter_batches(split: Split, cfg: TrainConfig, rng: np.random.Generator, aug: AugmentConfig):
+def _iter_batches(
+    split: Split, cfg: TrainConfig, rng: np.random.Generator, aug: AugmentConfig
+):
     order = rng.permutation(len(split.y))
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start : start + cfg.batch_size]
@@ -301,16 +341,20 @@ class VariantResult:
 LOSS_COLUMNS = ("loss_ce", "loss_feat", "loss_logit", "loss_aux", "loss_total")
 
 
-def _fit(base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: _Stage, models,
-         loss_fn) -> MetricsLogger:
-    """The one training loop behind every stage. ``models`` are the encoders
-    and classifiers it trains; all their parameters share one optimizer, and
-    classifier rows are re-normalized after every step. ``loss_fn(batch, w)``
-    gets the batch and the epoch's logit-alignment weight and returns the
-    backward roots plus the metrics row for the step. The data order is drawn
-    from the stage's ``data`` seed stream. The first non-finite loss raises
-    :class:`DivergenceError`, naming the stage, before its own step, so a
-    failed stage returns nothing to save."""
+def _fit(
+    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: _Stage, models, loss_fn
+) -> MetricsLogger:
+    """The one training loop behind every stage.
+
+    ``models`` are the encoders and classifiers the stage trains; all their
+    parameters share one optimizer, and classifier rows are re-normalized
+    after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
+    logit-alignment weight and returns the backward roots plus the metrics
+    row for the step. The data order is drawn from the stage's ``data``
+    seed stream. The first non-finite loss (:class:`DivergenceError`, naming
+    the stage) raises before its own step, so a failed stage returns nothing
+    to save.
+    """
     aug = aug if aug is not None else AugmentConfig()
     opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
     classifiers = [m for m in models if isinstance(m, CosineClassifier)]
@@ -325,8 +369,10 @@ def _fit(base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: _Stage
             roots, row = loss_fn(batch, w)
             for column in LOSS_COLUMNS:
                 if not math.isfinite(row.get(column, 0.0)):
-                    raise DivergenceError(f"{stage.name} stage diverged: {column} = "
-                                          f"{row[column]} at epoch {epoch}, step {step}")
+                    raise DivergenceError(
+                        f"{stage.name} stage diverged: {column} = "
+                        f"{row[column]} at epoch {epoch}, step {step}"
+                    )
             opt.zero_grad()
             for root in roots:
                 backward(root)
@@ -479,8 +525,9 @@ def _require_rows(stage: _Stage, base: Split) -> None:
         raise ParameterError(f"{stage.name} stage: the base split has no rows")
     n_classes = len(base.classes)
     if n_classes < 2 and any(n.objective.ce for n in stage.networks):
-        raise ParameterError(f"{stage.name} stage: cross-entropy needs >= 2 base classes, "
-                             f"got {n_classes}")
+        raise ParameterError(
+            f"{stage.name} stage: cross-entropy needs >= 2 base classes, got {n_classes}"
+        )
 
 
 def _digest(*arrays) -> str:
@@ -492,24 +539,21 @@ def _digest(*arrays) -> str:
     return digest.hexdigest()
 
 
-def _split_digest(base: Split) -> str:
-    return _digest(base.x, base.y, np.array(base.label_width))
-
-
 # The TrainConfig fields every stage reads; the others are in _Objective.reads.
 _SCHEDULE = ("epochs", "lr", "lr_decay_factor", "lr_decay_epoch", "batch_size", "seed",
              "weight_decay", "momentum")
 
 
-def _stage_key(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig,
-               split_digest: str | None = None) -> tuple:
+def _stage_key(
+    stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig
+) -> tuple:
     """Exactly what fixes the bytes ``stage`` trains: the record without its
     name, the schedule, the resolved values its networks read, the
     ``AugmentConfig``, the network shape (input width resolved, classifier
-    scale only for a stage with a classifier), the split's digest and, for an
-    aligned stage, its partner's weights. So one dict serves calls on other
-    splits, configs or partners, and calls that differ only in a value the
-    stage does not read share it."""
+    scale only for a stage with a classifier), the split's arrays and label
+    width and, for an aligned stage, its partner's weights. So one dict
+    serves calls on other splits, configs or partners, and calls that differ
+    only in a value the stage does not read share it."""
     classified = any(n.classified for n in stage.networks)
     return (
         stage,
@@ -518,18 +562,14 @@ def _stage_key(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: 
         aug if aug is not None else AugmentConfig(),
         (net.input_dim or base.dim, net.hidden_dims, net.embed_dim,
          net.scale if classified else None),
-        split_digest or _split_digest(base),
+        _digest(base.x, base.y, np.array(base.label_width)),
         _digest(*(p.data for p in partner.parameters())) if stage.needs_partner else None,
     )
 
 
-def partner_key(base: Split, cfg: TrainConfig, aug, net: NetConfig) -> tuple:
-    """The :func:`_stage_key` of ``cfg.variant``'s partner stage."""
-    return _stage_key(_stage_of(cfg.variant, "partner"), base, cfg, None, aug, net)
-
-
-def _trained(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig,
-             reuse: dict | None, split_digest: str | None) -> StageResult:
+def _trained(
+    stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig, reuse: dict | None
+) -> StageResult:
     """``stage`` trained on ``base``, once its inputs are checked. With a
     ``reuse`` dict it trains only if its :func:`_stage_key` is not in the dict
     yet, and is stored under it; either way the caller gets a copy, so what
@@ -540,22 +580,26 @@ def _trained(stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: Ne
         if partner is None or not partner.frozen:
             raise ContractError(f"variant {variant} needs a frozen partner encoder")
         if partner.config.embed_dim != net.embed_dim:
-            raise ContractError(f"variant {variant}: the partner embeds in "
-                                f"{partner.config.embed_dim} dimensions but the main encoder "
-                                f"in {net.embed_dim}")
+            raise ContractError(
+                f"variant {variant}: the partner embeds in {partner.config.embed_dim} "
+                f"dimensions but the main encoder in {net.embed_dim}"
+            )
         if partner.config.input_dim != base.dim:
-            raise ContractError(f"variant {variant}: the partner takes {partner.config.input_dim} "
-                                f"input features but the base split has {base.dim}")
+            raise ContractError(
+                f"variant {variant}: the partner takes {partner.config.input_dim} "
+                f"input features but the base split has {base.dim}"
+            )
     if reuse is None:
         return _train_stage(stage, base, cfg, partner, aug, net)
-    key = _stage_key(stage, base, cfg, partner, aug, net, split_digest)
+    key = _stage_key(stage, base, cfg, partner, aug, net)
     if key not in reuse:
         reuse[key] = _train_stage(stage, base, cfg, partner, aug, net)
     return copy.deepcopy(reuse[key])
 
 
-def _train_stage(stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder | None, aug,
-                 net: NetConfig) -> StageResult:
+def _train_stage(
+    stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder | None, aug, net: NetConfig
+) -> StageResult:
     """Train ``stage``'s networks jointly. Each network's terms'
     per-instance means sum to its own backward root: one summed root could
     reorder the gradient accumulation, and so the trained bytes. The result
@@ -576,7 +620,9 @@ def _train_stage(stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder 
         # The anchors are the partner's embeddings of this batch, so a
         # variant that samples them encodes the batch once.
         if any(objective.feat for objective in objectives):
-            anchors = sample_anchor_sets(partner, batch, anchor_rng, cfg.n_pos, cfg.n_neg)
+            anchors = sample_anchor_sets(
+                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
+            )
             z_partner = anchors.features
         elif stage.needs_partner:
             z_partner = partner.encode(batch.inputs)
@@ -630,35 +676,46 @@ def _train_stage(stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder 
     return StageResult(encs[-1], clfs[-1], metrics, peer=encs[0] if len(encs) > 1 else None)
 
 
-def train_partner(base: Split, cfg: TrainConfig, aug: AugmentConfig | None = None, out_dir=None,
-                  net: NetConfig = NetConfig(), *, reuse: dict | None = None,
-                  split_digest: str | None = None) -> StageResult:
+def train_partner(
+    base: Split,
+    cfg: TrainConfig,
+    aug: AugmentConfig | None = None,
+    out_dir=None,
+    net: NetConfig = NetConfig(),
+    *,
+    reuse: dict | None = None,
+) -> StageResult:
     """Stage one: train ``cfg.variant``'s partner stage, SupCT, CT
     (``Partner_CT``) or CE (``Reverse``, ``Partner_CE``).
 
-    With a ``reuse`` dict, a stage whose key the dict holds is not trained
-    again, and a stage that trains is stored; either way the caller gets
-    (and ``out_dir`` is written from) its own copy. ``split_digest`` is
-    ``base``'s digest, when the caller has it."""
+    With a ``reuse`` dict, a stage whose :func:`_stage_key` the dict holds is
+    not trained again, and a stage that trains is stored under it; either way
+    the caller gets (and ``out_dir`` is written from) its own copy."""
     stage = _stage_of(cfg.variant, "partner")
     if len(base.classes) == 1 and stage.networks[0].objective == _SUPCT:
         logger.warning("train_partner: single-class data; every batch is all-positive and "
                        "the SupCon objective is degenerate")
-    done = _trained(stage, base, cfg, None, aug, net, reuse, split_digest)
+    done = _trained(stage, base, cfg, None, aug, net, reuse)
     enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
     return replace(done, encoder_checkpoint=enc_path)
 
 
-def train_main(base: Split, cfg: TrainConfig, partner: Encoder | None = None,
-               aug: AugmentConfig | None = None, out_dir=None, net: NetConfig = NetConfig(), *,
-               reuse: dict | None = None, split_digest: str | None = None) -> StageResult:
+def train_main(
+    base: Split,
+    cfg: TrainConfig,
+    partner: Encoder | None = None,
+    aug: AugmentConfig | None = None,
+    out_dir=None,
+    net: NetConfig = NetConfig(),
+    *,
+    reuse: dict | None = None,
+) -> StageResult:
     """Stage two: train ``cfg.variant``'s main stage, the main encoder (and
     classifier) under ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL.
     ``Mutual``'s trains its two peers jointly: the result is the CE one, and
-    its ``peer`` the SupCon one, saved as ``peer``. ``reuse`` and
-    ``split_digest`` work as in :func:`train_partner`."""
-    done = _trained(_stage_of(cfg.variant, "main"), base, cfg, partner, aug, net, reuse,
-                    split_digest)
+    its ``peer`` the SupCon one, saved as ``peer``. ``reuse`` works as in
+    :func:`train_partner`."""
+    done = _trained(_stage_of(cfg.variant, "main"), base, cfg, partner, aug, net, reuse)
     if done.peer is not None:
         _save(out_dir, "peer", done.peer)
     enc_path, clf_path = _save(out_dir, "main", done.encoder, done.classifier, done.metrics)
@@ -669,24 +726,32 @@ def train_main(base: Split, cfg: TrainConfig, partner: Encoder | None = None,
 _train_mutual = train_main
 
 
-def train_variant(base: Split, cfg: TrainConfig, aug: AugmentConfig | None = None, out_dir=None,
-                  net: NetConfig = NetConfig(), *, reuse: dict | None = None) -> VariantResult:
+def train_variant(
+    base: Split,
+    cfg: TrainConfig,
+    aug: AugmentConfig | None = None,
+    out_dir=None,
+    net: NetConfig = NetConfig(),
+    *,
+    reuse: dict | None = None,
+) -> VariantResult:
     """Train ``cfg.variant``'s ``_STAGES``, the partner stage through
     :func:`train_partner` and the main stage through :func:`train_main`;
     return the evaluated encoder and all that was trained. With no main
     stage (``SupCT_only``) the partner stage is the evaluated one, saved as
     ``main``.
 
-    ``reuse`` reaches both stages (the split is digested once per call): one
-    dict shared by the rows of a grid or the settings of a sweep trains each
-    distinct stage once, and every row gets its own copy of it."""
+    ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
+    included): one dict shared by the rows of a grid or the settings of a
+    sweep trains each distinct partner, CE partners included, once, and every
+    row gets its own copy of it. Main stages are not stored: no table repeats
+    one."""
     variant, stages = cfg.variant, _STAGES[cfg.variant]
     for stage in stages:  # every stage is checked before the first one writes anything
         _require_rows(stage, base)
-    digest = None if reuse is None else _split_digest(base)
     partner, metrics = None, {}
     if stages[0].role == "partner":
-        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse, split_digest=digest)
+        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
         role = "partner" if len(stages) > 1 else "main"
         enc_path, _ = _save(out_dir, role, stage1.encoder, metrics=stage1.metrics)
         metrics[role] = stage1.metrics
@@ -694,8 +759,7 @@ def train_variant(base: Split, cfg: TrainConfig, aug: AugmentConfig | None = Non
             return VariantResult(variant, stage1.encoder, None, None, metrics, enc_path)
         partner = stage1.encoder.freeze()
 
-    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net,
-                      reuse=reuse, split_digest=digest)
+    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
     metrics["main"] = main.metrics
     partner = main.peer if partner is None else partner
     return VariantResult(variant, main.encoder, main.classifier, partner, metrics,

@@ -26,9 +26,9 @@ from pal.training import (
     _seed_int,
     _seed_streams,
     _stage_key,
+    _stage_of,
     _trained,
     lr_at,
-    partner_key,
     sgd_step,
     train_main,
     train_partner,
@@ -444,7 +444,7 @@ def test_sgd_momentum_zero_matches_the_vanilla_loop_bitwise(path):
 
 
 def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig()):
-    return partner_key(base, cfg, aug, net)
+    return _stage_key(_stage_of(cfg.variant, "partner"), base, cfg, None, aug, net)
 
 
 # A config under which every schedule field moves every stage's bytes (the lr
@@ -488,7 +488,7 @@ def test_stage_key_moves_exactly_when_the_stage_bytes_move(tiny_base):
 
     def run(stage, cfg, aug, net, partner):
         key = _stage_key(stage, tiny_base, cfg, partner, aug, net)
-        return key, _stage_bytes(_trained(stage, tiny_base, cfg, partner, aug, net, None, None))
+        return key, _stage_bytes(_trained(stage, tiny_base, cfg, partner, aug, net, None))
 
     stages = {stage for stages in _STAGES.values() for stage in stages}
     assert len(stages) == 12
@@ -529,7 +529,7 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, fit_calls):
                            reuse=reuse)
     alone = train_variant(tiny_base, replace(TINY_CFG, variant=Variant.SUPCT_ONLY), aug=AUG,
                           reuse=reuse)
-    assert fit_calls == ["PAL partner", "PAL main", "PAL_feat_only main"] and len(reuse) == 3
+    assert fit_calls == ["PAL partner", "PAL main", "PAL_feat_only main"] and len(reuse) == 1
     # Every caller gets its own copy: freezing one row's partner reaches no other row.
     assert first.partner is not second.partner
     assert first.partner.frozen and second.partner.frozen and not alone.encoder.frozen
@@ -558,7 +558,7 @@ def test_reuse_trains_a_shared_ce_partner_once(tmp_path, tiny_base, fit_calls):
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
                       out_dir=tmp_path / "shared" / variant.value, reuse=reuse)
     assert fit_calls == ["Reverse partner", "Reverse main", "Partner_CE main"]
-    assert len(reuse) == 3
+    assert len(reuse) == 1
     for variant in rows:
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG,
                       out_dir=tmp_path / "alone" / variant.value)
@@ -569,22 +569,27 @@ def test_reuse_trains_a_shared_ce_partner_once(tmp_path, tiny_base, fit_calls):
 
 def test_a_sweep_trains_each_stage_a_setting_moves_once(tmp_path, tiny_base, fit_calls):
     """PAL rows over (logit_tau, n_pos) share one dict: the SupCon partner
-    reads neither value and trains once, and a row whose settings resolve to
-    another row's temperature reuses that row's main stage too. Every row
-    writes the bytes of a run without the dict."""
-    settings = [dict(logit_tau=1.0), dict(logit_tau=2.0), dict(logit_tau=1.0, n_pos=2),
-                dict(logit_tau=TINY_CFG.tau), dict(logit_tau=None)]
+    reads neither value and trains once, and every row writes the bytes of a
+    run without the dict. A main stage whose settings resolve to another's
+    temperature shares that stage through train_main's dict."""
+    settings = [dict(logit_tau=1.0), dict(logit_tau=2.0), dict(logit_tau=1.0, n_pos=2)]
     reuse = {}
     for i, setting in enumerate(settings):
         train_variant(tiny_base, replace(TINY_CFG, **setting), aug=AUG,
                       out_dir=tmp_path / "shared" / str(i), reuse=reuse)
-        if i == 2:
-            assert fit_calls == ["PAL partner"] + ["PAL main"] * 3
-    assert len(fit_calls) == len(reuse) == 5
+    assert fit_calls == ["PAL partner"] + ["PAL main"] * 3 and len(reuse) == 1
     for i, setting in enumerate(settings):
         train_variant(tiny_base, replace(TINY_CFG, **setting), aug=AUG,
                       out_dir=tmp_path / "alone" / str(i))
     assert _files(tmp_path / "shared") == _files(tmp_path / "alone")
+
+    fit_calls.clear()
+    partner = train_partner(tiny_base, TINY_CFG, aug=AUG, reuse=reuse).encoder.freeze()
+    for logit_tau in (TINY_CFG.tau, None):
+        train_main(tiny_base, replace(TINY_CFG, logit_tau=logit_tau), partner, AUG,
+                   tmp_path / "main" / str(logit_tau), reuse=reuse)
+    assert fit_calls == ["PAL main"] and len(reuse) == 2
+    assert _files(tmp_path / "main" / str(TINY_CFG.tau)) == _files(tmp_path / "main" / "None")
 
 
 def test_ce_partner_on_one_class_names_its_own_stage(tiny_base):
@@ -598,7 +603,7 @@ def test_single_run_computes_no_partner_key(tiny_base, monkeypatch):
     def refuse(*args):
         raise AssertionError("a run without a reuse dict computed a stage key")
 
-    for name in ("_stage_key", "_split_digest"):
+    for name in ("_stage_key", "_digest"):
         monkeypatch.setattr(pal.training, name, refuse)
     for variant in (Variant.PAL, Variant.SUPCT_ONLY, Variant.PARTNER_CE, Variant.MUTUAL):
         train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG)
