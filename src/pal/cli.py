@@ -38,7 +38,7 @@ from .training import (
 )
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
+def _add_config_args(parser: argparse.ArgumentParser, out: bool = False) -> None:
     parser.add_argument("--config", type=Path, default=None, help="run config file")
     parser.add_argument(
         "--set",
@@ -49,7 +49,9 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         help="override a config value (repeatable)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-    parser.add_argument("--out", type=Path, default=Path("runs/latest"), help="output directory")
+    if out:  # only the commands that write a run directory take one
+        parser.add_argument("--out", type=Path, default=Path("runs/latest"),
+                            help="output directory")
 
 
 def _resolve(args, variant: str | None = None) -> RunConfig:
@@ -103,7 +105,7 @@ def cmd_train_partner(args) -> int:
     run = _resolve(args)
     base = load_dataset(_base_path(run, args.base))
     result = train_partner(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
-    print(f"wrote {result.checkpoint}")
+    print(f"wrote {result.encoder_checkpoint}")
     print(f"final partner loss: {result.metrics.rows[-1]['loss_total']:.6f}")
     return 0
 
@@ -198,18 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_init_config)
 
     p = sub.add_parser("train-partner", help="stage one: the variant's partner")
-    _add_config_args(p)
+    _add_config_args(p, out=True)
     p.add_argument("--base", type=Path, default=None, help="base split file")
     p.set_defaults(func=cmd_train_partner)
 
     p = sub.add_parser("train-main", help="stage two: train the main encoder")
-    _add_config_args(p)
+    _add_config_args(p, out=True)
     p.add_argument("--base", type=Path, default=None, help="base split file")
     p.add_argument("--partner", type=Path, default=None, help="partner checkpoint")
     p.set_defaults(func=cmd_train_main)
 
     p = sub.add_parser("train-variant", help="run a full training scheme")
-    _add_config_args(p)
+    _add_config_args(p, out=True)
     p.add_argument("--base", type=Path, default=None, help="base split file")
     p.add_argument(
         "--variant",
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_episodes)
 
     p = sub.add_parser("ablate", help="run a comparison table")
-    _add_config_args(p)
+    _add_config_args(p, out=True)
     p.add_argument("--table", type=int, required=True, choices=sorted(TABLE_VARIANTS))
     p.add_argument("--base", type=Path, default=None)
     p.add_argument("--data", type=Path, default=None, help="novel split file")

@@ -1,11 +1,12 @@
 """Two-stage training pipeline and every ablation variant.
 
 Stage one (:func:`train_partner`) trains the partner encoder under a
-contrastive or a CE objective; stage two (:func:`train_main`) trains the main
-encoder (plus its cosine classifier) under cross-entropy with optional
-feature-level and logit-level alignment against the frozen partner.
-``train_variant`` runs every alternative of the ablation grid (baselines,
-multi-task, mutual learning, the reversed order, other partner objectives).
+contrastive or a CE objective; stage two (:func:`train_main`) trains the
+evaluated network: for PAL the main encoder (plus its cosine classifier)
+under cross-entropy with optional feature-level and logit-level alignment
+against the frozen partner. ``train_variant`` runs every alternative of the
+ablation grid (baselines, multi-task, mutual learning, the reversed order,
+other partner objectives) as an optional partner stage, then a main stage.
 
 A run is fixed by its ``TrainConfig`` (objective and schedule), its
 ``AugmentConfig``, its ``NetConfig`` (the network shape every stage shares:
@@ -16,18 +17,20 @@ A stage is data: ``_STAGES`` maps each variant to its frozen ``_Stage``
 records, each with a display name (variant and role), its data-order seed
 stream and seed, and its networks (objective and init streams; two for
 ``Mutual``'s main stage, each aligned to the other by a ``"peer"`` term).
-``_train_stage`` turns a record into its models and a per-batch
-``loss_fn(batch, w) -> (roots, metrics_row)``; ``_fit`` owns the rest (the
-data order, batching, the non-finite loss check, the optimizer step under
-the lr schedule and the alignment warm-up, the metrics log, and the final
-float32 rounding), and ``_save`` alone decides a run directory's layout:
-``{role}_encoder.palw``, ``{role}_classifier.palw`` and ``metrics_{role}.csv``.
+``_train_stage`` is the one training loop: it builds a record's models and
+owns the data order, batching, every loss term, the non-finite loss check,
+the optimizer step under the lr schedule and the alignment warm-up, the
+metrics log, and the final float32 rounding. ``_run`` is the one stage
+runner behind ``train_partner`` and ``train_main``, and alone decides a run
+directory's layout: ``{role}_encoder.palw``, ``main_classifier.palw``,
+``peer_encoder.palw`` and ``metrics_{role}.csv``.
 
 Runs are fully independent (each derives every generator it uses from its
 own seed), so a grid can run them concurrently; or they share stages: with
 one ``reuse`` dict, each distinct :func:`_stage_key` (exactly what fixes a
-stage's bytes) trains once; ``train_variant`` hands the dict to its partner
-stage only. Without the dict nothing is hashed or stored.
+stage's bytes) trains once; ``train_variant`` hands the dict to the stages
+that are some variant's partner stage only. Without the dict nothing is
+hashed or stored.
 
 Logged loss components are per-instance means (component sums divided by the
 2B batch rows), so learning rates keep the same meaning across batch sizes;
@@ -322,10 +325,6 @@ class StageResult:
     classifier_checkpoint: Path | None = None
     peer: Encoder | None = None  # the other network of a joint stage (Mutual's SupCon one)
 
-    @property
-    def checkpoint(self) -> Path | None:
-        return self.encoder_checkpoint
-
 
 @dataclass
 class VariantResult:
@@ -339,70 +338,6 @@ class VariantResult:
 
 # Loss columns checked after every step, components before their total.
 LOSS_COLUMNS = ("loss_ce", "loss_feat", "loss_logit", "loss_aux", "loss_total")
-
-
-def _fit(
-    base: Split, cfg: TrainConfig, aug: AugmentConfig | None, stage: _Stage, models, loss_fn
-) -> MetricsLogger:
-    """The one training loop behind every stage.
-
-    ``models`` are the encoders and classifiers the stage trains; all their
-    parameters share one optimizer, and classifier rows are re-normalized
-    after every step. ``loss_fn(batch, w)`` gets the batch and the epoch's
-    logit-alignment weight and returns the backward roots plus the metrics
-    row for the step. The data order is drawn from the stage's ``data``
-    seed stream. The first non-finite loss (:class:`DivergenceError`, naming
-    the stage) raises before its own step, so a failed stage returns nothing
-    to save.
-    """
-    aug = aug if aug is not None else AugmentConfig()
-    opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
-    classifiers = [m for m in models if isinstance(m, CosineClassifier)]
-    data_rng = np.random.default_rng(_seed_streams(cfg)[stage.data])
-    schedule = WarmupSchedule(cfg.warmup_epochs)
-    metrics = MetricsLogger()
-
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        w = schedule(epoch)
-        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
-            roots, row = loss_fn(batch, w)
-            for column in LOSS_COLUMNS:
-                if not math.isfinite(row.get(column, 0.0)):
-                    raise DivergenceError(
-                        f"{stage.name} stage diverged: {column} = "
-                        f"{row[column]} at epoch {epoch}, step {step}"
-                    )
-            opt.zero_grad()
-            for root in roots:
-                backward(root)
-            opt.step(lr, cfg.weight_decay)
-            for clf in classifiers:
-                clf.renormalize()
-            metrics.log(**{"epoch": epoch, "step": step, "lr": lr, "w_logit": w, **row})
-
-    opt.zero_grad()  # the last step's gradients; a trained model does not carry them
-    quantize_to_storage(*models)
-    return metrics
-
-
-def _save(out_dir, role: str, encoder: Encoder, classifier=None, metrics=None):
-    """Write a stage's outputs as ``{role}_encoder.palw``,
-    ``{role}_classifier.palw`` and ``metrics_{role}.csv`` under ``out_dir``
-    (nothing when it is None); return the two checkpoint paths."""
-    if out_dir is None:
-        return None, None
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    enc_path = out / f"{role}_encoder.palw"
-    save_encoder(encoder, enc_path)
-    clf_path = None
-    if classifier is not None:
-        clf_path = out / f"{role}_classifier.palw"
-        save_classifier(classifier, clf_path)
-    if metrics is not None:
-        metrics.write_csv(out / f"metrics_{role}.csv")
-    return enc_path, clf_path
 
 
 @dataclass(frozen=True)
@@ -425,12 +360,16 @@ class _Objective:
         """The resolved ``cfg`` values beyond the schedule that the network's
         terms and metrics row read, None for each it does not: the warm-up (a
         peer term logs ``w_logit`` as 1), ``tau``, the logit and KL
-        temperatures, and the anchor caps."""
+        temperatures, and the anchor caps (None too for a cap no batch
+        reaches: a row of a batch has at most ``2 * batch_size - 1`` positives
+        and, its other view being one, ``2 * batch_size - 2`` negatives)."""
+        most = 2 * cfg.batch_size - 1
         return (None if self.align == "peer" else cfg.warmup_epochs,
                 cfg.tau if self.feat or self.contrastive != "none" else None,
                 cfg.logit_temperature if self.align == "logit" else None,
                 cfg.kl_temperature if self.align == "kl" else None,
-                (cfg.n_pos, cfg.n_neg) if self.feat else None)
+                tuple(None if cap is not None and cap >= top else cap for cap, top in
+                      ((cfg.n_pos, most), (cfg.n_neg, most - 1))) if self.feat else None)
 
 
 @dataclass(frozen=True)
@@ -474,14 +413,14 @@ _CE = _Objective(ce=True)
 _PAL = _Objective(ce=True, feat=True, align="logit")
 
 
-def _partner(objective: _Objective) -> tuple:
+def _partner(objective: _Objective, role: str = "partner") -> tuple:
     """The ``_Stage`` fields after the variant of a partner stage under
     ``objective``. A CE partner trains as ``CE_only``'s main stage does, under
     the seed drawn from the run's ``partner_init`` stream, so partner and main
     share neither init nor batch order."""
     if objective == _CE:
-        return "partner", (_Network(_CE, "main_init"),), "main_data", "partner_init"
-    return "partner", (_Network(objective, "partner_init"),), "partner_data"
+        return role, (_Network(_CE, "main_init"),), "main_data", "partner_init"
+    return role, (_Network(objective, "partner_init"),), "partner_data"
 
 
 def _main(objective: _Objective) -> tuple:
@@ -492,7 +431,8 @@ def _main(objective: _Objective) -> tuple:
 _STAGES = {variant: tuple(_Stage(variant, *fields) for fields in stages) for variant, stages in {
     Variant.PAL: (_partner(_SUPCT), _main(_PAL)),
     Variant.CE_ONLY: (_main(_CE),),
-    Variant.SUPCT_ONLY: (_partner(_SUPCT),),
+    # The SupCon partner, evaluated as it is.
+    Variant.SUPCT_ONLY: (_partner(_SUPCT, "main"),),
     Variant.MULTITASK: (_main(_Objective(ce=True, contrastive="supct")),),
     # Deep mutual learning: a SupCon and the evaluated CE network train from
     # scratch as one stage, each aligned to the other.
@@ -508,6 +448,10 @@ _STAGES = {variant: tuple(_Stage(variant, *fields) for fields in stages) for var
     Variant.PAL_KL_LOGIT: (_partner(_SUPCT), _main(_Objective(ce=True, align="kl"))),
     Variant.PAL_FEAT_KL: (_partner(_SUPCT), _main(_Objective(ce=True, feat=True, align="kl"))),
 }.items()}
+
+# The stages train_variant stores in a reuse dict: every variant's partner
+# stage, which SupCT_only's main stage equals.
+_PARTNERS = {stage for stages in _STAGES.values() for stage in stages if stage.role == "partner"}
 
 
 def _stage_of(variant: Variant, role: str) -> _Stage:
@@ -539,25 +483,26 @@ def _digest(*arrays) -> str:
     return digest.hexdigest()
 
 
-# The TrainConfig fields every stage reads; the others are in _Objective.reads.
-_SCHEDULE = ("epochs", "lr", "lr_decay_factor", "lr_decay_epoch", "batch_size", "seed",
-             "weight_decay", "momentum")
+# The TrainConfig fields every stage reads (and lr_decay_factor, when the lr
+# decays); the others are in _Objective.reads.
+_SCHEDULE = ("epochs", "lr", "lr_decay_epoch", "batch_size", "seed", "weight_decay", "momentum")
 
 
 def _stage_key(
     stage: _Stage, base: Split, cfg: TrainConfig, partner, aug, net: NetConfig
 ) -> tuple:
     """Exactly what fixes the bytes ``stage`` trains: the record without its
-    name, the schedule, the resolved values its networks read, the
-    ``AugmentConfig``, the network shape (input width resolved, classifier
-    scale only for a stage with a classifier), the split's arrays and label
-    width and, for an aligned stage, its partner's weights. So one dict
-    serves calls on other splits, configs or partners, and calls that differ
-    only in a value the stage does not read share it."""
+    name, the schedule (the decay factor only if the lr decays), the resolved
+    values its networks read, the ``AugmentConfig``, the network shape (input
+    width resolved, classifier scale only for a stage with a classifier), the
+    split's arrays and label width and, for an aligned stage, its partner's
+    weights. So one dict serves calls on other splits, configs or partners,
+    and calls that differ only in a value the stage does not read share it."""
     classified = any(n.classified for n in stage.networks)
     return (
         stage,
         tuple(getattr(cfg, name) for name in _SCHEDULE),
+        cfg.lr_decay_factor if cfg.lr_decay_epoch < cfg.epochs else None,
         tuple(n.objective.reads(cfg) for n in stage.networks),
         aug if aug is not None else AugmentConfig(),
         (net.input_dim or base.dim, net.hidden_dims, net.embed_dim,
@@ -575,6 +520,9 @@ def _trained(
     yet, and is stored under it; either way the caller gets a copy, so what
     it does to the result never reaches the dict or another caller."""
     _require_rows(stage, base)
+    if len(base.classes) == 1 and stage.networks[0].objective == _SUPCT:
+        logger.warning("%s stage: single-class data; every batch is all-positive and "
+                       "the SupCon objective is degenerate", stage.name)
     if stage.needs_partner:
         variant = stage.variant.value
         if partner is None or not partner.frozen:
@@ -600,10 +548,17 @@ def _trained(
 def _train_stage(
     stage: _Stage, base: Split, cfg: TrainConfig, partner: Encoder | None, aug, net: NetConfig
 ) -> StageResult:
-    """Train ``stage``'s networks jointly. Each network's terms'
+    """The one training loop: train ``stage``'s networks jointly.
+
+    All their encoders' and classifiers' parameters share one optimizer, and
+    classifier rows are re-normalized after every step. The data order is
+    drawn from the stage's ``data`` seed stream. Each network's terms'
     per-instance means sum to its own backward root: one summed root could
-    reorder the gradient accumulation, and so the trained bytes. The result
-    is the last network's; an earlier one's encoder is its ``peer``."""
+    reorder the gradient accumulation, and so the trained bytes. The first
+    non-finite loss (:class:`DivergenceError`, naming the stage) raises
+    before its own step, so a failed stage returns nothing to save. The
+    result is the last network's; an earlier one's encoder is its ``peer``.
+    """
     if stage.seed is not None:
         cfg = replace(cfg, seed=_seed_int(_seed_streams(cfg)[stage.seed]))
     streams = _seed_streams(cfg)
@@ -612,68 +567,114 @@ def _train_stage(
     encs = [net.encoder(base.dim, _seed_int(streams[n.encoder_init])) for n in stage.networks]
     clfs = [net.classifier(len(class_list), _seed_int(streams[n.classifier_init]))
             if n.classified else None for n in stage.networks]
-    anchor_rng = np.random.default_rng(streams["anchors"])
-
-    def loss_fn(batch, w):
-        zs = [enc.embed(batch.inputs) for enc in encs]
-        logits = [clf.logits(z) if clf else None for clf, z in zip(clfs, zs)]
-        # The anchors are the partner's embeddings of this batch, so a
-        # variant that samples them encodes the batch once.
-        if any(objective.feat for objective in objectives):
-            anchors = sample_anchor_sets(
-                partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
-            )
-            z_partner = anchors.features
-        elif stage.needs_partner:
-            z_partner = partner.encode(batch.inputs)
-
-        roots = []
-        row = {"skipped_positive_instances": 0}
-        for i, (objective, z, clf) in enumerate(zip(objectives, zs, clfs)):
-            terms = []
-            if objective.ce:
-                terms.append(("loss_ce", ce_loss_batch(
-                    logits[i], np.searchsorted(class_list, batch.labels))))
-            if objective.feat:
-                result = feat_align_loss(z, anchors, cfg.tau)
-                terms.append(("loss_feat", result.loss))
-                row["skipped_positive_instances"] += result.skipped
-            if objective.contrastive == "supct":
-                result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
-            elif objective.contrastive == "ct":
-                result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
-            if objective.contrastive != "none":
-                terms.append(("loss_aux", result.loss))
-                row["skipped_positive_instances"] += result.skipped
-            if objective.align == "logit":
-                terms.append(("loss_logit", logit_align_loss_batch(
-                    clf, z_partner[batch.view_map], logits[i], cfg.logit_temperature)))
-            elif objective.align != "none":
-                # A constant teacher: the partner's class probabilities, or the other peer's.
-                if objective.align == "kl":
-                    column, teacher, tau = "loss_logit", clf.logits(z_partner), cfg.kl_temperature
-                else:
-                    column, teacher, tau = "loss_aux", logits[i - 1].data, 1.0
-                    row["w_logit"] = 1.0
-                terms.append((column, kl_loss_batch(
-                    softmax_temperature(teacher, tau), softmax_temperature(logits[i], tau))))
-
-            # -0.0 is the identity of float addition: a column's first value
-            # is logged as it is, and later networks' values add to it.
-            total = None
-            for column, loss in terms:
-                term = scale(loss, 1.0 / batch.size)
-                row[column] = row.get(column, -0.0) + float(term)
-                if column == "loss_logit":
-                    term = scale(term, w)
-                total = term if total is None else total + term
-            row["loss_total"] = row.get("loss_total", -0.0) + float(total)
-            roots.append(total)
-        return roots, row
-
     models = [m for pair in zip(encs, clfs) for m in pair if m is not None]
-    metrics = _fit(base, cfg, aug, stage, models, loss_fn)
+    opt = SGD([p for model in models for p in model.parameters()], momentum=cfg.momentum)
+    anchor_rng = np.random.default_rng(streams["anchors"])
+    data_rng = np.random.default_rng(streams[stage.data])
+    schedule = WarmupSchedule(cfg.warmup_epochs)
+    aug = aug if aug is not None else AugmentConfig()
+    metrics = MetricsLogger()
+
+    for epoch in range(cfg.epochs):
+        lr, w = lr_at(epoch, cfg), schedule(epoch)
+        for step, batch in enumerate(_iter_batches(base, cfg, data_rng, aug)):
+            zs = [enc.embed(batch.inputs) for enc in encs]
+            logits = [clf.logits(z) if clf else None for clf, z in zip(clfs, zs)]
+            # The anchors are the partner's embeddings of this batch, so a
+            # variant that samples them encodes the batch once.
+            if any(objective.feat for objective in objectives):
+                anchors = sample_anchor_sets(
+                    partner, batch, anchor_rng, n_pos=cfg.n_pos, n_neg=cfg.n_neg
+                )
+                z_partner = anchors.features
+            elif stage.needs_partner:
+                z_partner = partner.encode(batch.inputs)
+
+            roots = []
+            row = {"epoch": epoch, "step": step, "lr": lr, "w_logit": w,
+                   "skipped_positive_instances": 0}
+            for i, (objective, z, clf) in enumerate(zip(objectives, zs, clfs)):
+                terms = []
+                if objective.ce:
+                    terms.append(("loss_ce", ce_loss_batch(
+                        logits[i], np.searchsorted(class_list, batch.labels))))
+                if objective.feat:
+                    result = feat_align_loss(z, anchors, cfg.tau)
+                    terms.append(("loss_feat", result.loss))
+                    row["skipped_positive_instances"] += result.skipped
+                if objective.contrastive == "supct":
+                    result = supct_loss(ContrastiveBatchView.supervised(z, batch.labels, cfg.tau))
+                elif objective.contrastive == "ct":
+                    result = ct_loss(ContrastiveBatchView.unsupervised(z, batch.labels, cfg.tau))
+                if objective.contrastive != "none":
+                    terms.append(("loss_aux", result.loss))
+                    row["skipped_positive_instances"] += result.skipped
+                if objective.align == "logit":
+                    terms.append(("loss_logit", logit_align_loss_batch(
+                        clf, z_partner[batch.view_map], logits[i], cfg.logit_temperature)))
+                elif objective.align != "none":
+                    # A constant teacher: the partner's class probabilities, or the other peer's.
+                    if objective.align == "kl":
+                        column, tau = "loss_logit", cfg.kl_temperature
+                        teacher = clf.logits(z_partner)
+                    else:
+                        column, teacher, tau = "loss_aux", logits[i - 1].data, 1.0
+                        row["w_logit"] = 1.0
+                    terms.append((column, kl_loss_batch(
+                        softmax_temperature(teacher, tau), softmax_temperature(logits[i], tau))))
+
+                # -0.0 is the identity of float addition: a column's first value
+                # is logged as it is, and later networks' values add to it.
+                total = None
+                for column, loss in terms:
+                    term = scale(loss, 1.0 / batch.size)
+                    row[column] = row.get(column, -0.0) + float(term)
+                    if column == "loss_logit":
+                        term = scale(term, w)
+                    total = term if total is None else total + term
+                row["loss_total"] = row.get("loss_total", -0.0) + float(total)
+                roots.append(total)
+
+            for column in LOSS_COLUMNS:
+                if not math.isfinite(row.get(column, 0.0)):
+                    raise DivergenceError(
+                        f"{stage.name} stage diverged: {column} = "
+                        f"{row[column]} at epoch {epoch}, step {step}"
+                    )
+            opt.zero_grad()
+            for root in roots:
+                backward(root)
+            opt.step(lr, cfg.weight_decay)
+            for clf in filter(None, clfs):
+                clf.renormalize()
+            metrics.log(**row)
+
+    opt.zero_grad()  # the last step's gradients; a trained model does not carry them
+    quantize_to_storage(*models)
     return StageResult(encs[-1], clfs[-1], metrics, peer=encs[0] if len(encs) > 1 else None)
+
+
+def _run(role: str, base: Split, cfg: TrainConfig, partner, aug, out_dir, net: NetConfig,
+         reuse: dict | None) -> StageResult:
+    """The one stage runner: train ``cfg.variant``'s ``role`` stage through
+    :func:`_trained` and write it under ``out_dir`` (nothing when it is None)
+    as ``{role}_encoder.palw`` and ``metrics_{role}.csv``; a main stage's
+    classifier as ``main_classifier.palw``, and a joint stage's other network
+    as ``peer_encoder.palw``. The result carries the checkpoint paths."""
+    done = _trained(_stage_of(cfg.variant, role), base, cfg, partner, aug, net, reuse)
+    if out_dir is None:
+        return done
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if done.peer is not None:
+        save_encoder(done.peer, out / "peer_encoder.palw")
+    done.encoder_checkpoint = out / f"{role}_encoder.palw"
+    save_encoder(done.encoder, done.encoder_checkpoint)
+    if role == "main" and done.classifier is not None:
+        done.classifier_checkpoint = out / "main_classifier.palw"
+        save_classifier(done.classifier, done.classifier_checkpoint)
+    done.metrics.write_csv(out / f"metrics_{role}.csv")
+    return done
 
 
 def train_partner(
@@ -691,13 +692,7 @@ def train_partner(
     With a ``reuse`` dict, a stage whose :func:`_stage_key` the dict holds is
     not trained again, and a stage that trains is stored under it; either way
     the caller gets (and ``out_dir`` is written from) its own copy."""
-    stage = _stage_of(cfg.variant, "partner")
-    if len(base.classes) == 1 and stage.networks[0].objective == _SUPCT:
-        logger.warning("train_partner: single-class data; every batch is all-positive and "
-                       "the SupCon objective is degenerate")
-    done = _trained(stage, base, cfg, None, aug, net, reuse)
-    enc_path, _ = _save(out_dir, "partner", done.encoder, metrics=done.metrics)
-    return replace(done, encoder_checkpoint=enc_path)
+    return _run("partner", base, cfg, None, aug, out_dir, net, reuse)
 
 
 def train_main(
@@ -710,16 +705,13 @@ def train_main(
     *,
     reuse: dict | None = None,
 ) -> StageResult:
-    """Stage two: train ``cfg.variant``'s main stage, the main encoder (and
-    classifier) under ``L = L_CE + L_feat + w(epoch) * L_align`` for PAL.
-    ``Mutual``'s trains its two peers jointly: the result is the CE one, and
-    its ``peer`` the SupCon one, saved as ``peer``. ``reuse`` works as in
-    :func:`train_partner`."""
-    done = _trained(_stage_of(cfg.variant, "main"), base, cfg, partner, aug, net, reuse)
-    if done.peer is not None:
-        _save(out_dir, "peer", done.peer)
-    enc_path, clf_path = _save(out_dir, "main", done.encoder, done.classifier, done.metrics)
-    return replace(done, encoder_checkpoint=enc_path, classifier_checkpoint=clf_path)
+    """Stage two: train ``cfg.variant``'s main stage, the evaluated network:
+    for PAL the main encoder and classifier under ``L = L_CE + L_feat +
+    w(epoch) * L_align`` against the frozen ``partner``; for ``SupCT_only``
+    the SupCon encoder alone. ``Mutual``'s trains its two peers jointly: the
+    result is the CE one, and its ``peer`` the SupCon one, saved as ``peer``.
+    ``reuse`` works as in :func:`train_partner`."""
+    return _run("main", base, cfg, partner, aug, out_dir, net, reuse)
 
 
 # perfbench/tracer.py patches this name; Mutual's stage trains through train_main.
@@ -735,32 +727,24 @@ def train_variant(
     *,
     reuse: dict | None = None,
 ) -> VariantResult:
-    """Train ``cfg.variant``'s ``_STAGES``, the partner stage through
-    :func:`train_partner` and the main stage through :func:`train_main`;
-    return the evaluated encoder and all that was trained. With no main
-    stage (``SupCT_only``) the partner stage is the evaluated one, saved as
-    ``main``.
+    """Train ``cfg.variant``'s ``_STAGES``: the partner stage, if it has one,
+    through :func:`train_partner`, then the main stage, the evaluated one,
+    through :func:`train_main`; return it and all that was trained.
 
-    ``reuse`` reaches :func:`train_partner` only (``SupCT_only``'s stage
-    included): one dict shared by the rows of a grid or the settings of a
-    sweep trains each distinct partner, CE partners included, once, and every
-    row gets its own copy of it. Main stages are not stored: no table repeats
-    one."""
-    variant, stages = cfg.variant, _STAGES[cfg.variant]
+    ``reuse`` reaches the stages in ``_PARTNERS`` only, every partner stage
+    and ``SupCT_only``'s main one: one dict shared by the rows of a grid or
+    the settings of a sweep trains each distinct partner, CE partners
+    included, once, and every row gets its own copy of it. Other main stages
+    are not stored: no table repeats one."""
+    stages = _STAGES[cfg.variant]
     for stage in stages:  # every stage is checked before the first one writes anything
         _require_rows(stage, base)
     partner, metrics = None, {}
     if stages[0].role == "partner":
-        stage1 = train_partner(base, cfg, aug=aug, net=net, reuse=reuse)
-        role = "partner" if len(stages) > 1 else "main"
-        enc_path, _ = _save(out_dir, role, stage1.encoder, metrics=stage1.metrics)
-        metrics[role] = stage1.metrics
-        if len(stages) == 1:
-            return VariantResult(variant, stage1.encoder, None, None, metrics, enc_path)
-        partner = stage1.encoder.freeze()
-
-    main = train_main(base, cfg, partner=partner, aug=aug, out_dir=out_dir, net=net)
+        stage1 = train_partner(base, cfg, aug, out_dir, net, reuse=reuse)
+        metrics["partner"], partner = stage1.metrics, stage1.encoder.freeze()
+    main = train_main(base, cfg, partner, aug, out_dir, net,
+                      reuse=reuse if stages[-1] in _PARTNERS else None)
     metrics["main"] = main.metrics
-    partner = main.peer if partner is None else partner
-    return VariantResult(variant, main.encoder, main.classifier, partner, metrics,
-                         main.encoder_checkpoint)
+    return VariantResult(cfg.variant, main.encoder, main.classifier, partner or main.peer,
+                         metrics, main.encoder_checkpoint)

@@ -11,11 +11,11 @@ def fit_calls(monkeypatch):
     """The display name (``"PAL partner"``, ``"Mutual main"``, ...) of every
     stage that trains, in order: one entry per call of the training loop."""
     calls = []
-    real_fit = pal.training._fit
+    real_train_stage = pal.training._train_stage
 
-    def recording(base, cfg, aug, stage, *rest):
+    def recording(stage, *rest):
         calls.append(stage.name)
-        return real_fit(base, cfg, aug, stage, *rest)
+        return real_train_stage(stage, *rest)
 
-    monkeypatch.setattr(pal.training, "_fit", recording)
+    monkeypatch.setattr(pal.training, "_train_stage", recording)
     return calls

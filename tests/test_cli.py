@@ -88,16 +88,27 @@ def test_full_pipeline_and_eval(data_dir, tmp_path, capsys):
     assert csv_path.exists()
 
 
-def test_train_main_runs_mutual_as_train_variant_does(data_dir, tmp_path):
-    """Mutual's one main stage trains its two peers through train-main."""
-    base, tiny = str(data_dir / "base.pald"), [*TRAIN_TINY, "--set", "train.variant=Mutual"]
+@pytest.mark.parametrize("variant, files", [
+    ("CE_only", {"main_classifier.palw"}),
+    ("SupCT_only", set()),
+    ("MultiTask", {"main_classifier.palw"}),
+    ("Mutual", {"main_classifier.palw", "peer_encoder.palw"}),
+], ids=["CE_only", "SupCT_only", "MultiTask", "Mutual"])
+def test_one_stage_variant_runs_as_train_main_alone(data_dir, tmp_path, capsys, variant, files):
+    """A variant with only a main stage (Mutual's trains its two peers) runs
+    as train-main alone, byte for byte; train-partner refuses it and writes
+    nothing."""
+    base, tiny = str(data_dir / "base.pald"), [*TRAIN_TINY, "--set", f"train.variant={variant}"]
+    refused = tmp_path / "partner"
+    assert main(["train-partner", "--base", base, "--out", str(refused), *tiny]) == 1
+    assert f"variant {variant} has no partner stage of its own" in _one_error_line(capsys)
+    assert not refused.exists()
     assert main(["train-main", "--base", base, "--out", str(tmp_path / "main"), *tiny]) == 0
-    assert main(["train-variant", "--variant", "Mutual", "--base", base,
+    assert main(["train-variant", "--variant", variant, "--base", base,
                  "--out", str(tmp_path / "whole"), *TRAIN_TINY]) == 0
     whole = _tree(tmp_path / "whole")
     assert _tree(tmp_path / "main") == whole
-    assert {str(p) for p in whole} == {"peer_encoder.palw", "main_encoder.palw",
-                                       "main_classifier.palw", "metrics_main.csv"}
+    assert {str(p) for p in whole} == {"main_encoder.palw", "metrics_main.csv", *files}
 
 
 @pytest.mark.parametrize("variant", ["PAL", "Reverse", "Partner_CT", "Partner_CE",
@@ -223,7 +234,7 @@ def test_checkpoint_whose_layers_do_not_chain_is_one_error_line(data_dir, tmp_pa
 
 @pytest.mark.parametrize("command,stage", [
     (["train-partner"], "PAL partner stage"),
-    (["train-variant", "--variant", "SupCT_only"], "SupCT_only partner stage"),
+    (["train-variant", "--variant", "SupCT_only"], "SupCT_only main stage"),
     (["train-variant", "--variant", "CE_only"], "CE_only main stage"),
     (["train-variant", "--variant", "MultiTask"], "MultiTask main stage"),
     (["train-variant", "--variant", "Reverse"], "Reverse partner stage"),
@@ -396,6 +407,18 @@ def test_module_docstring_names_every_subcommand():
     assert sub.choices and missing == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["init-config", "run.cfg"],
+    ["eval-episodes", "--checkpoint", "enc.palw", "--data", "novel.pald"],
+], ids=["init-config", "eval-episodes"])
+def test_commands_that_write_no_run_directory_reject_out(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_init_config_template(tmp_path):
     path = tmp_path / "run.cfg"
     assert main(["init-config", str(path)]) == 0
@@ -535,10 +558,10 @@ def small_checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("argv, env_seed, line", [
-    (["gen-data", "--seed", "-1"], None, "seed must be >= 0, got -1"),
-    (["train-variant", "--variant", "PAL", "--base", "{base}", "--seed", "-2", *TRAIN_TINY],
-     None, "seed must be >= 0, got -2"),
-    (["train-variant", "--variant", "PAL", "--base", "{base}", *TRAIN_TINY],
+    (["gen-data", "--seed", "-1", "--out", "{out}"], None, "seed must be >= 0, got -1"),
+    (["train-variant", "--variant", "PAL", "--base", "{base}", "--seed", "-2", "--out", "{out}",
+      *TRAIN_TINY], None, "seed must be >= 0, got -2"),
+    (["train-variant", "--variant", "PAL", "--base", "{base}", "--out", "{out}", *TRAIN_TINY],
      "-3", "seed must be >= 0, got -3"),
     (["eval-episodes", "--checkpoint", "{checkpoint}", "--data", "{novel}",
       "--eval-seed", "-1", "--csv", "{out}/eval.csv"], None, "rng must be a seed >= 0, got -1"),
@@ -550,6 +573,6 @@ def test_negative_seed_is_one_error_line(data_dir, small_checkpoint, tmp_path, c
         monkeypatch.setenv("PAL_SEED", env_seed)
     paths = dict(base=data_dir / "base.pald", novel=data_dir / "novel.pald",
                  checkpoint=small_checkpoint, out=out)
-    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 1
+    assert main([a.format(**paths) for a in argv]) == 1
     assert _one_error_line(capsys) == f"pal: error: {line}"
     assert not out.exists()

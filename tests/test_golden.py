@@ -108,7 +108,7 @@ def produce(out: Path) -> dict[str, str]:
         metrics = {}
         if variant is not Variant.CE_ONLY:
             part = train_partner(base, cfg, aug=AUG, out_dir=run_dir, net=NET)
-            partner = load_encoder(part.checkpoint).freeze()
+            partner = load_encoder(part.encoder_checkpoint).freeze()
             metrics["partner"] = part.metrics
         main = train_main(base, cfg, partner=partner, aug=AUG, out_dir=run_dir, net=NET)
         metrics["main"] = main.metrics

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pal.ablation import TABLE_VARIANTS
 from pal.batching import AugmentConfig
 from pal.core import Tensor
 from pal.data import SyntheticSpec, generate_synthetic
@@ -155,8 +156,8 @@ def test_train_partner_loss_decreases_and_roundtrips(tmp_path, tiny_base):
     means = epoch_means(result.metrics, "loss_total")
     assert all(np.isfinite(means))
     assert means[-1] < means[0]
-    assert result.checkpoint is not None
-    reloaded = load_encoder(result.checkpoint)
+    assert result.encoder_checkpoint is not None
+    reloaded = load_encoder(result.encoder_checkpoint)
     x = tiny_base.x[:10].astype(np.float64)
     np.testing.assert_array_equal(reloaded.encode(x), result.encoder.encode(x))
 
@@ -185,9 +186,14 @@ def test_train_partner_single_class_warns(caplog, tiny_base):
         label_width=tiny_base.label_width,
     )
     cfg = TrainConfig(epochs=1, lr=0.01, lr_decay_epoch=1, batch_size=4, warmup_epochs=0)
-    with caplog.at_level(logging.WARNING, logger="pal.training"):
-        train_partner(single, cfg, aug=AUG)
-    assert any("single-class" in rec.message for rec in caplog.records)
+    # Once per SupCon-only stage: PAL's partner, and SupCT_only's main stage.
+    for train, variant, role in ((train_partner, Variant.PAL, "partner"),
+                                 (train_main, Variant.SUPCT_ONLY, "main")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pal.training"):
+            train(single, replace(cfg, variant=variant), aug=AUG)
+        warnings = [rec.message for rec in caplog.records if "single-class" in rec.message]
+        assert len(warnings) == 1 and warnings[0].startswith(f"{variant.value} {role} stage: ")
 
 
 def test_train_partner_single_class_ct_does_not_warn(caplog, tiny_base):
@@ -266,8 +272,9 @@ def test_train_main_variant_components(tiny_base):
 def test_train_variant_stage_sequence(tiny_base, monkeypatch):
     """Which stage trainers each variant runs, under which variant and seed;
     every partner, a CE one included, trains through train_partner, every
-    main stage, Mutual's included, through train_main, and a CE partner is
-    the CE_only main stage under the seed drawn from the partner_init stream."""
+    main stage, Mutual's and SupCT_only's included, through train_main, and a
+    CE partner is the CE_only main stage under the seed drawn from the
+    partner_init stream."""
     calls = []
     for name in ("train_partner", "train_main"):
         real = getattr(pal.training, name)
@@ -287,7 +294,7 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
     expected = {
         Variant.PAL: pal_like(Variant.PAL),
         Variant.CE_ONLY: [(main, Variant.CE_ONLY, s)],
-        Variant.SUPCT_ONLY: [(partner, Variant.SUPCT_ONLY, s)],
+        Variant.SUPCT_ONLY: [(main, Variant.SUPCT_ONLY, s)],
         Variant.MULTITASK: [(main, Variant.MULTITASK, s)],
         Variant.MUTUAL: [(main, Variant.MUTUAL, s)],
         Variant.REVERSE: pal_like(Variant.REVERSE),
@@ -310,12 +317,15 @@ def test_train_variant_stage_sequence(tiny_base, monkeypatch):
 
 
 def test_stage_without_objective_is_refused(tiny_base):
+    """Every variant ends in its main stage, the evaluated one; a one-stage
+    variant has no partner stage to train."""
     cfg = replace(TINY_CFG, epochs=1, lr_decay_epoch=1, warmup_epochs=0)
-    for variant in (Variant.CE_ONLY, Variant.MULTITASK, Variant.MUTUAL):
-        with pytest.raises(ParameterError, match="no partner stage"):
+    one_stage = (Variant.CE_ONLY, Variant.SUPCT_ONLY, Variant.MULTITASK, Variant.MUTUAL)
+    for variant in one_stage:
+        with pytest.raises(ParameterError, match="has no partner stage of its own"):
             train_partner(tiny_base, replace(cfg, variant=variant), aug=AUG)
-    with pytest.raises(ParameterError, match="no main stage"):
-        train_main(tiny_base, replace(cfg, variant=Variant.SUPCT_ONLY), aug=AUG)
+    assert {v for v, stages in _STAGES.items() if len(stages) == 1} == set(one_stage)
+    assert all(stages[-1].role == "main" for stages in _STAGES.values())
 
 
 def test_train_variant_ce_only_and_multitask(tiny_base):
@@ -409,6 +419,7 @@ def test_frozen_partner_encodes_each_main_batch_once(tiny_base, variant):
     (Variant.PAL, "partner", "loss_aux"),
     (Variant.MUTUAL, "main", "loss_ce"),
     (Variant.REVERSE, "partner", "loss_ce"),
+    (Variant.SUPCT_ONLY, "main", "loss_aux"),
 ])
 def test_non_finite_loss_raises_and_writes_nothing(tmp_path, tiny_base, variant, stage, column):
     cfg = TrainConfig(epochs=2, lr=1e200, lr_decay_epoch=2, batch_size=8, warmup_epochs=1,
@@ -444,7 +455,7 @@ def test_sgd_momentum_zero_matches_the_vanilla_loop_bitwise(path):
 
 
 def _key(base, cfg=TINY_CFG, aug=AUG, net=NetConfig()):
-    return _stage_key(_stage_of(cfg.variant, "partner"), base, cfg, None, aug, net)
+    return _stage_key(_STAGES[cfg.variant][0], base, cfg, None, aug, net)
 
 
 # A config under which every schedule field moves every stage's bytes (the lr
@@ -469,22 +480,39 @@ def test_stage_key_moves_exactly_when_the_stage_bytes_move(tiny_base):
     """For every distinct stage record and every TrainConfig, AugmentConfig
     and NetConfig field (and the partner of an aligned stage): perturbing it
     changes the stage's key if and only if it changes the bytes it trains
-    (weights and float64 metrics rows)."""
+    (weights and float64 metrics rows). A value that cannot take effect
+    leaves the key as it is: an anchor cap no batch reaches (a batch of 8
+    gives a row at most 15 positives and 14 negatives), or a decay factor
+    when the lr never decays."""
     def partner(embed_dim, seed=1):
         return Encoder(EncoderConfig(tiny_base.dim, (8,), embed_dim, seed)).freeze()
 
     plain = dict(cfg=EXACT_CFG, aug=AUG, net=EXACT_NET, partner=partner(8))
-    perturbed = {f"train.{name}": dict(plain, cfg=replace(EXACT_CFG, **{name: value}))
+    perturbed = {f"train.{name}": (plain, dict(plain, cfg=replace(EXACT_CFG, **{name: value})))
                  for name, value in OTHER_TRAIN.items()}
-    perturbed.update({f"augment.{name}": dict(plain, aug=replace(AUG, **{name: value}))
+    perturbed.update({f"augment.{name}": (plain, dict(plain, aug=replace(AUG, **{name: value})))
                       for name, value in OTHER_AUG.items()})
     for name, value in OTHER_NET.items():
         net = replace(EXACT_NET, **{name: value})
-        perturbed[f"net.{name}"] = dict(plain, net=net, partner=partner(net.embed_dim))
-    perturbed["partner"] = dict(plain, partner=partner(8, seed=2))
+        perturbed[f"net.{name}"] = (plain, dict(plain, net=net, partner=partner(net.embed_dim)))
+    perturbed["partner"] = (plain, dict(plain, partner=partner(8, seed=2)))
     assert {f.name for f in fields(TrainConfig)} - {"variant"} == set(OTHER_TRAIN)
     assert {f.name for f in fields(AugmentConfig)} == set(OTHER_AUG)
     assert {f.name for f in fields(NetConfig)} == set(OTHER_NET)
+    assert EXACT_CFG.batch_size == 8
+
+    def with_cfg(**changes):
+        return dict(plain, cfg=replace(EXACT_CFG, **changes))
+
+    perturbed.update({
+        "train.n_pos, n_neg beyond the batch": (plain, with_cfg(n_pos=1000, n_neg=1000)),
+        "train.n_pos = 2 * batch_size - 1": (plain, with_cfg(n_pos=15)),
+        "train.n_pos = 15 beside n_neg = 2": (with_cfg(n_neg=2), with_cfg(n_pos=15, n_neg=2)),
+        "train.n_neg = 2 * batch_size - 2": (plain, with_cfg(n_neg=14)),
+        "train.n_neg = 13": (plain, with_cfg(n_neg=13)),
+        "train.lr_decay_factor, no decay": (
+            with_cfg(lr_decay_epoch=1), with_cfg(lr_decay_epoch=1, lr_decay_factor=3.0)),
+    })
 
     def run(stage, cfg, aug, net, partner):
         key = _stage_key(stage, tiny_base, cfg, partner, aug, net)
@@ -493,10 +521,11 @@ def test_stage_key_moves_exactly_when_the_stage_bytes_move(tiny_base):
     stages = {stage for stages in _STAGES.values() for stage in stages}
     assert len(stages) == 12
     for stage in stages:
-        key, trained = run(stage, **plain)
+        plain_run = run(stage, **plain)
         assert _stage_key(stage, tiny_base, EXACT_CFG, plain["partner"], None, EXACT_NET) == \
             _stage_key(stage, tiny_base, EXACT_CFG, plain["partner"], AugmentConfig(), EXACT_NET)
-        for name, inputs in perturbed.items():
+        for name, (reference, inputs) in perturbed.items():
+            key, trained = plain_run if reference is plain else run(stage, **reference)
             other_key, other = run(stage, **inputs)
             assert (other_key != key) == (other != trained), (stage.name, name)
 
@@ -542,8 +571,8 @@ def test_reuse_trains_a_shared_partner_once(tmp_path, tiny_base, fit_calls):
     assert len(fit_calls) == 4
     for name in ("partner_encoder.palw", "metrics_partner.csv"):
         assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
-    assert stored.checkpoint == tmp_path / "hit" / "partner_encoder.palw"
-    assert plain.checkpoint == tmp_path / "plain" / "partner_encoder.palw"
+    assert stored.encoder_checkpoint == tmp_path / "hit" / "partner_encoder.palw"
+    assert plain.encoder_checkpoint == tmp_path / "plain" / "partner_encoder.palw"
 
 
 def _files(root):
@@ -590,6 +619,20 @@ def test_a_sweep_trains_each_stage_a_setting_moves_once(tmp_path, tiny_base, fit
                    tmp_path / "main" / str(logit_tau), reuse=reuse)
     assert fit_calls == ["PAL main"] and len(reuse) == 2
     assert _files(tmp_path / "main" / str(TINY_CFG.tau)) == _files(tmp_path / "main" / "None")
+
+
+def test_table3_reuse_holds_exactly_its_two_partner_stages(tiny_base, fit_calls):
+    """Table 3's rows through one dict store its SupCon partner (PAL's,
+    which is SupCT_only's main stage) and its CE partner (Reverse's), and
+    no main stage."""
+    reuse = {}
+    for variant in TABLE_VARIANTS[3]:
+        train_variant(tiny_base, replace(TINY_CFG, variant=variant), aug=AUG, reuse=reuse)
+    assert fit_calls == ["CE_only main", "SupCT_only main", "MultiTask main", "Mutual main",
+                         "Reverse partner", "Reverse main", "PAL main"]
+    assert len(reuse) == 2
+    assert {key[0] for key in reuse} == {_stage_of(Variant.PAL, "partner"),
+                                         _stage_of(Variant.REVERSE, "partner")}
 
 
 def test_ce_partner_on_one_class_names_its_own_stage(tiny_base):
