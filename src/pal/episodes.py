@@ -7,9 +7,11 @@ q query rows), with ``n``, ``k``, ``q``, the split's row count and each
 episode's class ids. Each episode draws from its own generator stream split
 off the evaluation seed, so the draws do not depend on evaluation order and
 repeated runs with one seed are identical. The seed is an int, never a
-generator, which would advance as it draws. Streams are spawned block by
-block, :data:`BLOCK` episodes at a time, which yields the same streams as one
-spawn for every episode while only one block's generators are alive.
+generator, which would advance as it draws. Episode i's stream is still the
+seed's i-th spawned child, ``np.random.default_rng(seed).spawn(...)[i]``, but
+its state is derived rather than spawned: one vectorized hash per block of
+:data:`BLOCK` episodes, pinned to ``Generator.spawn`` by a test. Only one
+block's generators are alive at a time.
 
 The encoder is read-only during evaluation, so :func:`evaluate` encodes the
 whole split once per call and scores blocks of :data:`BLOCK` episodes with
@@ -28,13 +30,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import l2_normalize
 from .data import Split, write_csv
 from .exceptions import CapacityError, ContractError, ParameterError
 
-# Episodes spawned and drawn together, and scored together by :func:`evaluate`.
+# Episodes whose streams are derived and drawn together, and scored together
+# by :func:`evaluate`.
 BLOCK = 64
+
+# numpy's ``SeedSequence`` hash on 32-bit words: each step xors a word with a
+# running constant, advances the constant by one multiply, multiplies the word
+# by it and xor-shifts it right by 16. Pool words mix as ``L*x - R*y``, shifted.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# The constants ``generate_state`` runs through for 8 words (4 uint64).
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, t, 2**32) & _M32 for t in range(9)], np.uint64)
 
 
 @dataclass(frozen=True)
@@ -157,24 +170,70 @@ def classify_query(protos: np.ndarray, z_q: np.ndarray) -> int:
     return int(np.argmax(protos @ np.asarray(z_q, dtype=np.float64)))
 
 
-def _generator(rng: int | None) -> np.random.Generator:
+def _seed(rng: int | None) -> int:
     if rng is not None and not isinstance(rng, (int, np.integer)):
         raise ParameterError(f"rng must be an int seed or None, got {type(rng).__name__}")
     if rng is not None and rng < 0:
         raise ParameterError(f"rng must be a seed >= 0, got {rng}")
-    return np.random.default_rng(0 if rng is None else int(rng))
+    return 0 if rng is None else int(rng)
 
 
 def _check_count(episodes: int) -> None:
     if episodes < 1:
         raise ParameterError(f"episodes must be >= 1, got {episodes}")
+    # Episode i draws from spawn key (i,), which must fit one 32-bit word.
+    if episodes >= 2**32:
+        raise ParameterError(f"episodes must be < 2**32, got {episodes}")
+
+
+class _StateWords(ISeedSequence):
+    """The (4,) uint64 state a ``PCG64`` asks its seed sequence for, precomputed."""
+
+    # One per episode: with an instance dict, a benchmark process's peak RSS
+    # crept up by about 1 MB over repeated set-ups.
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _stream_states(seed: int, first: int, count: int) -> np.ndarray:
+    """(count, 4) uint64: ``SeedSequence(seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)`` for ``i`` in ``first .. first + count - 1``, the states of the
+    children ``np.random.default_rng(seed).spawn`` makes.
+
+    numpy mixes the seed's entropy words, zero-padded to at least 4, into a
+    4-word pool with 4 hash steps per word: that pool is
+    ``SeedSequence(seed).pool``. The child's one key word ``i`` takes the
+    next 4 steps, one per pool word, and ``generate_state`` hashes the pool
+    into 8 words, low half first. Both run for every ``i`` at once."""
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    steps = 4 * max(4, -(-seed.bit_length() // 32))
+    hash_a = np.array([_INIT_A * pow(_MULT_A, steps + t, 2**32) & _M32 for t in range(5)],
+                      np.uint64)
+    key = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    keyed = (key ^ hash_a[:-1]) * hash_a[1:] & _M32
+    keyed ^= keyed >> 16
+    mixed = (_MIX_L * pool - _MIX_R * keyed) & _M32
+    mixed ^= mixed >> 16
+    state = (mixed[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:] & _M32
+    state ^= state >> 16
+    # PCG64 reads its state through a raw pointer: rows must be contiguous.
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
 
 
 def _draw_into(rows: np.ndarray, pool: EpisodePool, n: int, k: int, q: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Fill ``rows`` (b, n, k + q) with the next b episodes of ``rng``, one
-    spawned stream each, and return it."""
-    for i, stream in enumerate(rng.spawn(len(rows))):
+               seed: int, first: int) -> np.ndarray:
+    """Fill ``rows`` (b, n, k + q) with episodes ``first .. first + b - 1`` of
+    ``seed`` and return it. Episode i draws from the seed's i-th spawned
+    child, ``np.random.default_rng(seed).spawn(...)[i]``, whose state
+    :func:`_stream_states` derives for the whole block at once; a test pins
+    each derived stream to ``Generator.spawn``."""
+    for i, words in enumerate(_stream_states(seed, first, len(rows))):
+        stream = np.random.Generator(np.random.PCG64(_StateWords(words)))
         rows[i] = sample_episode(pool, n, k, q, stream).rows
     return rows
 
@@ -191,10 +250,10 @@ def draw_episodes(
     arguments would draw, drawn once, in the same order."""
     _check_count(episodes)
     pool = episode_pool(novel, n, k, q)
-    rng = _generator(rng)
+    seed = _seed(rng)
     rows = np.empty((episodes, n, k + q), dtype=np.int32)
     for start in range(0, episodes, BLOCK):
-        _draw_into(rows[start : start + BLOCK], pool, n, k, q, rng)
+        _draw_into(rows[start : start + BLOCK], pool, n, k, q, seed, start)
     classes = novel.y[rows[:, :, 0]]
     rows.flags.writeable = classes.flags.writeable = False
     return EpisodeSet(rows=rows, classes=classes, n=n, k=k, q=q, split_rows=len(novel.y))
@@ -226,7 +285,7 @@ def evaluate(
     ``episodes`` is a count, whose episodes are drawn under the int seed
     ``rng`` (None is 0), or an :class:`EpisodeSet` drawn from ``novel`` for
     the same ``n``, ``k`` and ``q``, scored as it is (``rng`` unused)."""
-    rng = _generator(rng)
+    seed = _seed(rng)
     if isinstance(episodes, EpisodeSet):
         _check_drawn_from(episodes, novel, n, k, q)
         count = len(episodes.rows)
@@ -243,7 +302,7 @@ def evaluate(
         if isinstance(episodes, EpisodeSet):
             rows = episodes.rows[start : start + b]
         else:
-            rows = _draw_into(buffer[:b], pool, n, k, q, rng)
+            rows = _draw_into(buffer[:b], pool, n, k, q, seed, start)
         protos = prototypes(z[rows[:, :, :k]].reshape(b, n * k, -1), support_y, n)
         sims = z[rows[:, :, k:]].reshape(b, n * q, -1) @ protos.transpose(0, 2, 1)
         accs += (np.argmax(sims, axis=-1) == query_y).mean(axis=-1).tolist()

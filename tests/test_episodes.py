@@ -57,6 +57,26 @@ class CountingEncoder:
         return self.enc.encode(x)
 
 
+class NoSpawnGenerator(np.random.Generator):
+    def spawn(self, n_children):
+        raise AssertionError("episode streams are derived, not spawned")
+
+
+class NoSpawnSeedSequence(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("episode streams are derived, not spawned")
+
+
+def refuse_spawn(monkeypatch) -> None:
+    """Make every generator and seed sequence built through ``np.random``
+    refuse to spawn. numpy's own types are immutable, so the names are
+    replaced by subclasses whose ``spawn`` raises."""
+    monkeypatch.setattr(np.random, "Generator", NoSpawnGenerator)
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawnSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: NoSpawnGenerator(np.random.PCG64(NoSpawnSeedSequence(seed))))
+
+
 def uneven_split(sizes, dim: int = 10, seed: int = 0) -> Split:
     """Classes of the given sizes with sparse, out-of-order ids, their rows
     shuffled together so no class occupies a contiguous block."""
@@ -263,16 +283,20 @@ def test_evaluate_matches_per_episode_loop(monkeypatch, n, k, q):
     draw = pal.episodes.sample_episode
     monkeypatch.setattr(pal.episodes, "sample_episode", lambda *a: calls.append(a) or draw(*a))
     assert pal.episodes.BLOCK == 64
+    # evaluate and draw_episodes run where nothing can spawn, and still draw
+    # the spawned streams the loop draws.
     for seed in (0, 7, 20260808):
         for episodes in (1, 12, 63, 64, 65, 130):
             expected = evaluate_loop(enc, split, n, k, q, episodes, seed)
-            calls.clear()
-            report = evaluate(enc, split, n=n, k=k, q=q, episodes=episodes, rng=seed)
-            assert report.per_episode == expected
-            assert len(calls) == episodes
-            calls.clear()
-            drawn = draw_episodes(split, n, k, q, episodes, seed)
-            assert len(calls) == episodes
+            with monkeypatch.context() as patch:
+                refuse_spawn(patch)
+                calls.clear()
+                report = evaluate(enc, split, n=n, k=k, q=q, episodes=episodes, rng=seed)
+                assert report.per_episode == expected
+                assert len(calls) == episodes
+                calls.clear()
+                drawn = draw_episodes(split, n, k, q, episodes, seed)
+                assert len(calls) == episodes
             calls.clear()
             report = evaluate(enc, split, n=n, k=k, q=q, episodes=drawn)
             assert report.per_episode == expected
@@ -299,6 +323,28 @@ def test_episode_draws_replay_their_stream_words(n, k, q):
             assert np.array_equal(ep.rows, rows)
             assert np.array_equal(ep.classes, split.y[rows[:, 0]])
             assert int(stream.integers(2**32, dtype=np.uint32)) == next(words)
+
+
+@pytest.mark.parametrize("rng", [None, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7])
+def test_episode_streams_are_the_seeds_spawned_children(rng):
+    # Episode i draws from the seed's i-th spawned child; _draw_into derives
+    # those states a block at a time instead of spawning. A numpy whose
+    # SeedSequence changes fails here. 2**200 + 7 has more entropy words
+    # than the 4-word pool, and the last index is the widest one-word key.
+    seed = pal.episodes._seed(rng)
+    children = np.random.default_rng(seed).spawn(600)
+    block = pal.episodes.BLOCK
+    derived = {
+        i: words
+        for first in (0, block, 576, 2**32 - block)
+        for i, words in enumerate(pal.episodes._stream_states(seed, first, block), first)
+    }
+    for i in (0, 63, 64, 599, 2**32 - 1):
+        if i < len(children):
+            want = children[i].bit_generator.state
+        else:
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state
+        assert np.random.PCG64(pal.episodes._StateWords(derived[i])).state == want
 
 
 def test_choice_replay_redraws_a_rejected_word():
@@ -333,6 +379,19 @@ def test_evaluate_rejects_before_encoding():
     # A 1-way episode always scores 1.0, so it measures nothing.
     with pytest.raises(ParameterError, match="n must be >= 2, got 1"):
         evaluate(enc, split, n=1, k=1, q=5, episodes=10, rng=0)
+    assert enc.calls == 0
+
+
+def test_evaluate_and_draw_refuse_counts_past_one_key_word():
+    # Episode i draws from spawn key (i,); a count of 2**32 or more needs a
+    # key wider than one 32-bit word, whose stream would not be spawn's.
+    split = uneven_split([30, 7, 25, 12, 40])
+    enc = CountingEncoder(IdentityEncoder())
+    for episodes in (2**32, 2**40):
+        with pytest.raises(ParameterError, match=r"episodes must be < 2\*\*32"):
+            evaluate(enc, split, n=3, k=2, q=5, episodes=episodes, rng=0)
+        with pytest.raises(ParameterError, match=r"episodes must be < 2\*\*32"):
+            draw_episodes(split, 3, 2, 5, episodes, 0)
     assert enc.calls == 0
 
 
