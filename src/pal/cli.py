@@ -63,17 +63,11 @@ def _resolve(args, variant: str | None = None) -> RunConfig:
     )
 
 
-def _base_path(run: RunConfig, flag_value):
-    path = flag_value or run.base_path
+def _split_path(split: str, flag: str, flag_value, config_value: str):
+    """The ``split`` file named by ``flag``, else by the config's ``[data] split``."""
+    path = flag_value or config_value
     if not path:
-        raise ParameterError("no base split given; pass --base or set [data] base")
-    return path
-
-
-def _novel_path(run: RunConfig, flag_value):
-    path = flag_value or run.novel_path
-    if not path:
-        raise ParameterError("no novel split given; pass --data or set [data] novel")
+        raise ParameterError(f"no {split} split given; pass {flag} or set [data] {split}")
     return path
 
 
@@ -103,7 +97,7 @@ def cmd_init_config(args) -> int:
 
 def cmd_train_partner(args) -> int:
     run = _resolve(args)
-    base = load_dataset(_base_path(run, args.base))
+    base = load_dataset(_split_path("base", "--base", args.base, run.base_path))
     result = train_partner(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"wrote {result.encoder_checkpoint}")
     print(f"final partner loss: {result.metrics.rows[-1]['loss_total']:.6f}")
@@ -112,7 +106,7 @@ def cmd_train_partner(args) -> int:
 
 def cmd_train_main(args) -> int:
     run = _resolve(args)
-    base = load_dataset(_base_path(run, args.base))
+    base = load_dataset(_split_path("base", "--base", args.base, run.base_path))
     partner = load_encoder(args.partner).freeze() if args.partner else None
     result = train_main(
         base, run.train, partner=partner, aug=run.augment, out_dir=args.out, net=run.net
@@ -126,7 +120,7 @@ def cmd_train_main(args) -> int:
 
 def cmd_train_variant(args) -> int:
     run = _resolve(args, variant=args.variant)
-    base = load_dataset(_base_path(run, args.base))
+    base = load_dataset(_split_path("base", "--base", args.base, run.base_path))
     result = train_variant(base, run.train, aug=run.augment, out_dir=args.out, net=run.net)
     print(f"variant {result.variant.value}: wrote {result.encoder_checkpoint}")
     return 0
@@ -134,7 +128,7 @@ def cmd_train_variant(args) -> int:
 
 def cmd_eval_episodes(args) -> int:
     run = _resolve(args)
-    novel = load_dataset(_novel_path(run, args.data))
+    novel = load_dataset(_split_path("novel", "--data", args.data, run.novel_path))
     encoder = load_encoder(args.checkpoint)
     seed = args.eval_seed if args.eval_seed is not None else eval_seed(run.train)
     report = evaluate(
@@ -151,8 +145,8 @@ def cmd_ablate(args) -> int:
     run = _resolve(args)
     path = run_table(
         table=args.table,
-        base_path=_base_path(run, args.base),
-        novel_path=_novel_path(run, args.data),
+        base_path=_split_path("base", "--base", args.base, run.base_path),
+        novel_path=_split_path("novel", "--data", args.data, run.novel_path),
         cfg=run.train,
         aug=run.augment,
         out_dir=args.out,

@@ -65,16 +65,13 @@ def _parse_hidden_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_optional_int(text: str):
-    if text.strip().lower() in ("all", "none", ""):
-        return None
-    return int(text)
+def _optional(parse, *none_words: str) -> tuple:
+    """(parse, write) for ``T | None``: any of ``none_words``, in any case, or
+    an empty value reads as None, and None writes as the first of them."""
+    def read(text: str):
+        return None if text.strip().lower() in (*none_words, "") else parse(text)
 
-
-def _parse_optional_float(text: str):
-    if text.strip().lower() in ("none", ""):
-        return None
-    return float(text)
+    return read, lambda v: none_words[0] if v is None else str(v)
 
 
 # (parse, write) for a config value, by the annotation of its field.
@@ -83,8 +80,8 @@ _FORMATS = {
     float: (float, str),
     Variant: (Variant.parse, lambda v: v.value),
     tuple[int, ...]: (_parse_hidden_dims, lambda dims: ",".join(map(str, dims))),
-    int | None: (_parse_optional_int, lambda v: "all" if v is None else str(v)),
-    float | None: (_parse_optional_float, lambda v: "none" if v is None else str(v)),
+    int | None: _optional(int, "all", "none"),  # n_pos and n_neg: None is "all"
+    float | None: _optional(float, "none"),
 }
 # Config-file section -> the RunConfig field holding it.
 _SECTIONS = {"encoder": "net", "augment": "augment", "train": "train"}

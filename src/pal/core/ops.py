@@ -18,8 +18,9 @@ accumulate in the same order and the trained bytes stay the same. Those
 primitives and chains live on in ``tests/`` as the reference the fused
 nodes are checked against.
 
-:func:`lse_softmax` is the one shifted-exponential kernel: :func:`softmax`
-and the fused loss nodes all take their values from it.
+:func:`lse_softmax` is the one shifted-exponential kernel, with one path for
+every ``axis``, ``None`` (the whole array) included: :func:`softmax` and the
+fused loss nodes all take their values from it.
 :func:`softmax_temperature` and :func:`softmax` also accept plain arrays and
 then return plain arrays, so constant targets (soft labels) reuse the exact
 same numerics without entering a graph; :func:`l2_normalize` takes arrays
@@ -87,15 +88,10 @@ def l2_normalize(x, eps: float = 1e-12, axis: int = -1) -> np.ndarray:
 
 def lse_softmax(arr: np.ndarray, axis: int | None):
     """``(log_sum_exp(arr), softmax(arr))`` along ``axis`` from one shifted
-    exponential; the softmax is the log-sum-exp's gradient."""
+    exponential; the softmax is the log-sum-exp's gradient. ``axis=None``
+    reduces the whole array, to a 0-d log-sum-exp."""
     if arr.size == 0:
         raise DomainError("log_sum_exp of an empty vector is undefined")
-    if axis is None:
-        m = arr.max()
-        shifted = np.exp(arr - m)
-        total = shifted.sum()
-        shifted /= total
-        return m + np.log(total), shifted
     m = arr.max(axis=axis, keepdims=True)
     shifted = arr - m
     np.exp(shifted, out=shifted)

@@ -28,9 +28,9 @@ a set would silently score the wrong rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import l2_normalize
 from .data import Split, write_csv
@@ -186,18 +186,29 @@ def _check_count(episodes: int) -> None:
         raise ParameterError(f"episodes must be < 2**32, got {episodes}")
 
 
-class _StateWords(ISeedSequence):
+@cache
+def _state_words_type() -> type:
+    """Built on the first draw: subclassing ``ISeedSequence`` loads
+    ``numpy.random``, which ``import pal`` leaves unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        # One per episode: with an instance dict, a benchmark process's peak
+        # RSS crept up by about 1 MB over repeated set-ups.
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _StateWords(words: np.ndarray):
     """The (4,) uint64 state a ``PCG64`` asks its seed sequence for, precomputed."""
-
-    # One per episode: with an instance dict, a benchmark process's peak RSS
-    # crept up by about 1 MB over repeated set-ups.
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    return _state_words_type()(words)
 
 
 def _stream_states(seed: int, first: int, count: int) -> np.ndarray:

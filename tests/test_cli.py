@@ -400,6 +400,15 @@ def test_pool_modules_import_only_for_parallel_jobs():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; only drawing needs it.
+    code = "import sys, pal, pal.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pal.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_module_docstring_names_every_subcommand():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -573,6 +582,20 @@ def test_negative_seed_is_one_error_line(data_dir, small_checkpoint, tmp_path, c
         monkeypatch.setenv("PAL_SEED", env_seed)
     paths = dict(base=data_dir / "base.pald", novel=data_dir / "novel.pald",
                  checkpoint=small_checkpoint, out=out)
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert _one_error_line(capsys) == f"pal: error: {line}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["train-variant", "--variant", "PAL", "--out", "{out}", *TRAIN_TINY],
+     "no base split given; pass --base or set [data] base"),
+    (["eval-episodes", "--checkpoint", "{checkpoint}", "--csv", "{out}/eval.csv"],
+     "no novel split given; pass --data or set [data] novel"),
+], ids=["train-variant", "eval-episodes"])
+def test_missing_split_is_one_error_line(small_checkpoint, tmp_path, capsys, argv, line):
+    out = tmp_path / "out"
+    paths = dict(checkpoint=small_checkpoint, out=out)
     assert main([a.format(**paths) for a in argv]) == 1
     assert _one_error_line(capsys) == f"pal: error: {line}"
     assert not out.exists()

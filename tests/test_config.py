@@ -178,6 +178,30 @@ def test_bad_value_reports_key(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("keys, raw", [
+    *((("n_pos", "n_neg"), raw) for raw in ("all", "All", "none", "NONE", "")),
+    *((("kl_tau", "logit_tau"), raw) for raw in ("none", "None", "")),
+])
+def test_optional_values_read_as_none(tmp_path, keys, raw):
+    path = tmp_path / "optional.cfg"
+    path.write_text("[train]\n" + "".join(f"{key} = {raw}\n" for key in keys))
+    assert parse_config_file(path) == {"train": dict.fromkeys(keys)}
+    assert parse_overrides([f"train.{key}={raw}" for key in keys]) == {
+        "train": dict.fromkeys(keys)}
+
+
+@pytest.mark.parametrize("key", ["kl_tau", "logit_tau"])
+def test_temperatures_refuse_all(tmp_path, key):
+    path = tmp_path / "taus.cfg"
+    path.write_text(f"[train]\n{key} = all\n")
+    with pytest.raises(ParameterError) as err:
+        parse_config_file(path)
+    assert str(err.value) == f"{path}: bad value 'all' for {key} in [train]"
+    with pytest.raises(ParameterError) as err:
+        parse_overrides([f"train.{key}=all"])
+    assert str(err.value) == f"override 'train.{key}=all': bad value 'all' for {key} in [train]"
+
+
 def test_missing_file():
     with pytest.raises(ParameterError, match="not found"):
         parse_config_file("no/such/file.cfg")
@@ -239,6 +263,9 @@ def test_template_round_trips(tmp_path):
     run = build_run_config(config_path=path, env={})
     assert run.train.epochs == 30
     assert run.train.n_pos is None
+    written = path.read_text().splitlines()
+    for line in ("n_pos = all", "n_neg = all", "kl_tau = none", "logit_tau = none"):
+        assert line in written
     # Both optional temperatures survive a write and a read, set and unset.
     for kl_tau, logit_tau in ((0.2, 0.7), (None, None)):
         written = build_run_config(env={})

@@ -209,7 +209,9 @@ def test_every_primitive_matches_finite_differences(seed):
         assert max_relative_error(fn, x0, h=1e-5) <= 1e-4
 
 
-@pytest.mark.parametrize("shape, axis", [((7,), -1), ((4, 6), -1), ((4, 6), 0)])
+@pytest.mark.parametrize("shape, axis", [
+    ((7,), -1), ((4, 6), -1), ((4, 6), 0), ((7,), None), ((4, 6), None),
+])
 def test_softmax_matches_the_shifted_exp_form_bitwise(shape, axis):
     x = np.random.default_rng(3).normal(scale=20.0, size=shape)
     expected = softmax_shifted_exp(x, axis)
